@@ -3,12 +3,14 @@
 from conftest import INSTRUCTIONS, MIXES_PER_COUNT
 
 from repro.experiments import fig02_summary
+from repro.experiments.options import RunOptions
 
 
 def test_fig2_summary(benchmark, report):
     result = benchmark.pedantic(
         lambda: fig02_summary.run(
-            instructions=INSTRUCTIONS, mixes_per_count=MIXES_PER_COUNT or None
+            RunOptions(instructions=INSTRUCTIONS),
+            mixes_per_count=MIXES_PER_COUNT or None
         ),
         rounds=1,
         iterations=1,

@@ -3,6 +3,7 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig03_percore
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
@@ -11,7 +12,7 @@ def test_fig3_per_workload(benchmark, report):
     big = mixes_subset(mixes_for_cores(32), limit=2)
     result = benchmark.pedantic(
         lambda: fig03_percore.run(
-            instructions=INSTRUCTIONS[4], quad_mixes=quad, big_mixes=big
+            RunOptions(instructions=INSTRUCTIONS[4]), quad_mixes=quad, big_mixes=big
         ),
         rounds=1,
         iterations=1,

@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig04_occupancy
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig4_occupancy(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: fig04_occupancy.run(instructions=INSTRUCTIONS[4], mixes=mixes),
+        lambda: fig04_occupancy.run(
+            RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

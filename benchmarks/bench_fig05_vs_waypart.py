@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig05_vs_waypart
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig5_enforcement_granularity(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig05_vs_waypart.run(instructions=INSTRUCTIONS[16], mixes=mixes),
+        lambda: fig05_vs_waypart.run(
+            RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig06_cores_eq_ways
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig6_cores_equal_ways(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig06_cores_eq_ways.run(instructions=INSTRUCTIONS[16], mixes=mixes),
+        lambda: fig06_cores_eq_ways.run(
+            RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

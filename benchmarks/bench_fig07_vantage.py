@@ -3,6 +3,7 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig07_vantage
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
@@ -11,7 +12,8 @@ def test_fig7_vantage(benchmark, report):
     sixteen = mixes_subset(mixes_for_cores(16), limit=3)
     result = benchmark.pedantic(
         lambda: fig07_vantage.run(
-            instructions=INSTRUCTIONS[4], quad_mixes=quad, sixteen_mixes=sixteen
+            RunOptions(instructions=INSTRUCTIONS[4]),
+            quad_mixes=quad, sixteen_mixes=sixteen
         ),
         rounds=1,
         iterations=1,

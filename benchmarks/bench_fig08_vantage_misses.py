@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig08_vantage_misses
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig8_miss_breakdown(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: fig08_vantage_misses.run(instructions=INSTRUCTIONS[4], mixes=mixes),
+        lambda: fig08_vantage_misses.run(
+            RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig09_fairness
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig9_fairness(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig09_fairness.run(instructions=INSTRUCTIONS[16], mixes=mixes),
+        lambda: fig09_fairness.run(
+            RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

@@ -3,6 +3,7 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig10_qos
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
@@ -10,7 +11,7 @@ def test_fig10_qos(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
         lambda: fig10_qos.run(
-            instructions=INSTRUCTIONS[16], mixes=mixes, tolerance=0.25
+            RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes, tolerance=0.25
         ),
         rounds=1,
         iterations=1,

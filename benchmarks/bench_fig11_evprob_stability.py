@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig11_evprob
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig11_probability_stability(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: fig11_evprob.run(instructions=INSTRUCTIONS[4] * 2, mixes=mixes),
+        lambda: fig11_evprob.run(
+            RunOptions(instructions=INSTRUCTIONS[4] * 2), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

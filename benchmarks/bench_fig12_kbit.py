@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import fig12_kbit
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig12_kbit_probabilities(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4), limit=3)
     result = benchmark.pedantic(
-        lambda: fig12_kbit.run(instructions=INSTRUCTIONS[4], mixes=mixes),
+        lambda: fig12_kbit.run(
+            RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

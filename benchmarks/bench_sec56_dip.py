@@ -3,13 +3,16 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import sec56_dip
+from repro.experiments.options import RunOptions
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_sec56_dip_replacement(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: sec56_dip.run(instructions=INSTRUCTIONS[4], mixes=mixes),
+        lambda: sec56_dip.run(
+            RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

@@ -24,7 +24,6 @@ from repro.cache.block import CacheBlock
 from repro.cache.cacheset import CacheSet
 from repro.cache.geometry import CacheGeometry
 from repro.cache.cache import AccessResult, SharedCache
-from repro.cache.history import IntervalHistory
 from repro.cache.stats import CacheStats
 from repro.cache.shadow import ShadowTagMonitor
 
@@ -35,7 +34,6 @@ __all__ = [
     "CacheGeometry",
     "CacheSet",
     "CacheStats",
-    "IntervalHistory",
     "SharedCache",
     "ShadowTagMonitor",
     "build_cache",

@@ -90,8 +90,8 @@ class SharedCache:
 
     # Slotted: the access loop is ~20 attribute loads per call, and slot
     # descriptors resolve faster than instance-dict lookups. Subclasses
-    # (e.g. SetPartitionedCache) may still add their own attributes — they
-    # get a __dict__ of their own.
+    # may still add their own attributes — they get a __dict__ of their
+    # own.
     __slots__ = (
         "geometry",
         "num_cores",

@@ -14,11 +14,8 @@ from repro.core.allocation.hitmax import HitMaxPolicy
 from repro.core.allocation.fairness import FairnessPolicy
 from repro.core.allocation.qos import QOSPolicy
 from repro.core.allocation.ucp_extended import UCPExtendedPolicy
-from repro.core.allocation.balanced import BalancedPolicy
-from repro.core.allocation.multi_qos import MultiQOSPolicy
 
 __all__ = [
-    "MultiQOSPolicy",
     "AllocationContext",
     "AllocationPolicy",
     "CliffAwarePolicy",
@@ -26,5 +23,4 @@ __all__ = [
     "FairnessPolicy",
     "QOSPolicy",
     "UCPExtendedPolicy",
-    "BalancedPolicy",
 ]

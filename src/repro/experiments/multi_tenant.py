@@ -106,7 +106,7 @@ def run(
     return {
         "id": "tenants",
         "workload": ref,
-        "tenants": source.tenant_names,
+        "tenants": source.core_names,
         "cores": source.num_cores,
         "schemes": schemes,
         "slo_fraction": results[0].tenant_slo.slo_fraction,

@@ -5,8 +5,7 @@ Before this module each figure's ``run()`` grew its own ad-hoc
 environment variable only. :class:`RunOptions` bundles the cross-cutting
 run controls; the :func:`experiment_run` decorator gives every registry
 ``run()`` the uniform signature ``run(options=None, **figure_kwargs)``
-while still accepting the legacy kwargs for one release (with
-``DeprecationWarning``).
+and rejects run controls passed any other way.
 
 Figure-specific knobs (``core_counts``, ``bit_widths``, ...) stay plain
 kwargs — they are not run controls.
@@ -17,19 +16,18 @@ from __future__ import annotations
 import functools
 import inspect
 import os
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["RunOptions", "resolve_run_options", "experiment_run"]
+__all__ = ["RunOptions", "experiment_run"]
 
 #: Same env vars the parallel executor reads (kept in sync by a test).
 JOBS_ENV = "REPRO_JOBS"
 STORE_ENV = "REPRO_STORE"
 
-#: Run controls the decorator still accepts as legacy keyword arguments.
-_LEGACY_KWARGS = ("instructions", "seed", "progress", "jobs", "telemetry")
+#: Run controls a wrapped ``run()`` takes from ``options`` only.
+_RUN_CONTROLS = ("instructions", "seed", "progress", "jobs", "telemetry")
 
 
 @dataclass(frozen=True)
@@ -75,30 +73,6 @@ class RunOptions:
     backend: str = "classic"
 
 
-def resolve_run_options(
-    options: Optional[RunOptions], legacy: dict, stacklevel: int = 3
-) -> RunOptions:
-    """Merge deprecated per-kwarg run controls into a :class:`RunOptions`.
-
-    Every entry in ``legacy`` (the old ``instructions=``/``seed=``/...
-    kwargs, present only if the caller passed them) earns a
-    ``DeprecationWarning`` and overrides the corresponding ``options``
-    field.
-    """
-    if options is None:
-        options = RunOptions()
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        warnings.warn(
-            f"passing {names} as keyword argument(s) is deprecated; "
-            f"pass options=RunOptions({names}=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        options = replace(options, **legacy)
-    return options
-
-
 @contextmanager
 def _run_env(jobs: Optional[int], store: Optional[str] = None):
     """Temporarily pin ``REPRO_JOBS``/``REPRO_STORE`` for nested calls.
@@ -134,24 +108,33 @@ def experiment_run(func):
     The wrapped function keeps its internal signature
     (``instructions=None, ..., seed=0, progress=None``); the wrapper
     exposes ``run(options=None, **figure_kwargs)``, forwards whichever
-    run controls the implementation declares, pins ``REPRO_JOBS`` /
+    run controls the implementation declares, and pins ``REPRO_JOBS`` /
     ``REPRO_STORE`` while it executes when ``options.jobs`` /
-    ``options.store`` are set, and accepts the legacy kwargs (and a bare
-    positional instruction count) with a ``DeprecationWarning``.
+    ``options.store`` are set. A run control passed as a keyword
+    (``run(instructions=...)``) or a non-``RunOptions`` ``options`` raises
+    ``TypeError``: the wrapper would otherwise overwrite it silently.
     """
     accepted = set(inspect.signature(func).parameters)
 
     @functools.wraps(func)
-    def wrapper(options=None, **kwargs):
-        legacy = {k: kwargs.pop(k) for k in _LEGACY_KWARGS if k in kwargs}
-        if isinstance(options, int):  # old positional instructions=
-            legacy["instructions"] = options
-            options = None
-        opts = resolve_run_options(options, legacy)
+    def wrapper(options: Optional[RunOptions] = None, **kwargs):
+        controls = sorted(set(kwargs).intersection(_RUN_CONTROLS))
+        if controls:
+            raise TypeError(
+                f"{func.__name__}() takes {', '.join(controls)} only through "
+                "options=RunOptions(...)"
+            )
+        if options is None:
+            options = RunOptions()
+        elif not isinstance(options, RunOptions):
+            raise TypeError(
+                f"{func.__name__}() options must be a RunOptions, "
+                f"got {type(options).__name__}"
+            )
         for name in ("instructions", "seed", "progress", "telemetry"):
             if name in accepted:
-                kwargs[name] = getattr(opts, name)
-        with _run_env(opts.jobs, opts.store):
+                kwargs[name] = getattr(options, name)
+        with _run_env(options.jobs, options.store):
             return func(**kwargs)
 
     wrapper.__wrapped_run__ = func

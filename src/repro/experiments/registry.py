@@ -5,8 +5,8 @@ enumerate the full evaluation. Every ``run`` has the uniform signature
 ``run(options=None, **figure_kwargs)`` where ``options`` is a
 :class:`~repro.experiments.options.RunOptions` carrying the cross-cutting
 controls (``instructions``, ``seed``, ``progress``, ``jobs``,
-``telemetry``); the pre-RunOptions keyword arguments are still accepted
-for now but emit ``DeprecationWarning``.
+``telemetry``); passing those as plain keyword arguments raises
+``TypeError``.
 """
 
 from __future__ import annotations

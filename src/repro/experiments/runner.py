@@ -10,9 +10,10 @@ Section 5.6 study), matching the paper's normalisation.
 
 Workloads resolve through :func:`repro.workloads.resolve_workload`:
 mix names, benchmark lists, and ``"family:spec"`` references
-(``"tenants:web8"``) all work; tenant workloads dispatch to
-:func:`repro.tenancy.run_tenant_workload`, which returns the same
-:class:`WorkloadResult` with the ``tenant_slo`` scorecard attached.
+(``"tenants:web8"``) all work; trace families (tenants, shared data)
+dispatch to :func:`repro.tenancy.run.run_trace_workload`, which returns
+the same :class:`WorkloadResult` (with the ``tenant_slo`` scorecard
+attached for tenants).
 
 Scheme diagnostics are reported as typed optional fields on
 :class:`WorkloadResult` (``eviction_probabilities``, ``quotas``, ...).
@@ -32,13 +33,14 @@ from repro.cache.backends import build_cache
 from repro.cpu.memory import MemoryModel
 from repro.cpu.system import CoreResult, MultiCoreSystem, run_standalone
 from repro.experiments.configs import MachineConfig
+from repro.experiments.options import RunOptions
 from repro.experiments.schemes import build_scheme
 from repro.metrics import antt, fairness, ipc_throughput, weighted_speedup
 from repro.metrics.tenancy import TenantSLOReport
 from repro.telemetry import RunTelemetry, TelemetryRecorder
 from repro.util.rng import derive_seed
 from repro.workloads.benchmark import BenchmarkProfile
-from repro.workloads.registry import resolve_workload
+from repro.workloads.registry import TraceSource, resolve_workload
 
 __all__ = [
     "WorkloadResult",
@@ -130,22 +132,6 @@ class WorkloadResult:
         return self.cores[core].ipc / self.standalone[core]
 
 
-def _resolve_mix(mix: Union[str, Sequence]) -> tuple:
-    """Deprecated: resolve through :func:`repro.workloads.resolve_workload`.
-
-    The historical private helper, kept as a shim for callers that reached
-    into it directly. Returns ``(label, profiles)`` like it always did.
-    """
-    warnings.warn(
-        "_resolve_mix is deprecated; use repro.workloads.resolve_workload() "
-        "and WorkloadSource.profiles() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    source = resolve_workload(mix)
-    return source.label, source.profiles()
-
-
 def _standalone_policy_key(policy) -> str:
     """Cache key component for the baseline policy class + salient config."""
     return type(policy).__name__
@@ -216,6 +202,42 @@ def standalone_ipcs(
             cache.store(key, ipc)
         results.append(ipc)
     return results
+
+
+def _build_run_cache(geometry, num_cores, policy, scheme_obj, backend, check, **kwargs):
+    """Build a run's shared cache, plus its invariant checker if ``check``.
+
+    The checker audits the classic object model (it walks ``CacheSet``
+    lists), so a checked run always uses the classic engine. Returns
+    ``(cache, checker)``; ``checker`` is ``None`` for unchecked runs.
+    """
+    if check and backend != "classic":
+        warnings.warn(
+            "check=True audits the classic engine; ignoring backend="
+            f"{backend!r} for this run",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        backend = "classic"
+    cache, _ = build_cache(
+        geometry, num_cores, policy=policy, scheme=scheme_obj, backend=backend,
+        **kwargs,
+    )
+    if not check:
+        return cache, None
+    # Imported lazily: unchecked runs never touch the check package.
+    from repro.check.invariants import attach_checker
+
+    return cache, attach_checker(cache)
+
+
+def _check_clusters(source, clusters: Optional[int]) -> None:
+    """Reject ``clusters=`` for every workload kind but shared data."""
+    if clusters is not None and source.kind != "shared":
+        raise ValueError(
+            f"clusters= applies to 'shared' workloads only; "
+            f"{source.label!r} is kind {source.kind!r}"
+        )
 
 
 def _scheme_diagnostics(scheme_obj) -> dict:
@@ -309,14 +331,14 @@ def run_workload(
     mix: Union[str, Sequence],
     config: MachineConfig,
     scheme: str = "lru",
-    seed: int = 0,
+    seed: Optional[int] = None,
     instructions: Optional[int] = None,
     scheme_kwargs: Optional[dict] = None,
-    telemetry: Union[bool, TelemetryRecorder] = False,
+    telemetry: Union[None, bool, TelemetryRecorder] = None,
     standalone_cache: Optional[StandaloneIPCCache] = None,
-    options=None,
-    check: bool = False,
-    backend: str = "classic",
+    options: Optional[RunOptions] = None,
+    check: Optional[bool] = None,
+    backend: Optional[str] = None,
     clusters: Optional[int] = None,
 ) -> WorkloadResult:
     """Run one mix under one scheme and report the paper's metrics.
@@ -328,7 +350,7 @@ def run_workload(
             :class:`~repro.workloads.registry.WorkloadSource`.
         config: the machine (see :func:`repro.experiments.configs.machine`).
         scheme: registry name (see :data:`repro.experiments.schemes.SCHEMES`).
-        seed: top-level seed for streams and scheme PRNGs.
+        seed: top-level seed for streams and scheme PRNGs (default 0).
         instructions: per-core target override.
         scheme_kwargs: forwarded to the scheme factory (e.g.
             ``{"probability_bits": 6}`` or ``{"target_ipc_fraction": 0.8}``).
@@ -340,7 +362,8 @@ def run_workload(
             the process-wide :data:`DEFAULT_STANDALONE_CACHE`).
         options: a :class:`~repro.experiments.options.RunOptions`; supplies
             ``seed``/``instructions``/``telemetry``/``standalone_cache``/
-            ``check`` for any of those arguments left at its default above.
+            ``check``/``backend`` for any of those arguments left at
+            ``None``. An argument given explicitly always wins.
         check: attach the invariant checker
             (:func:`repro.check.attach_checker`) to the shared cache and
             audit it once more after the run; raises
@@ -353,26 +376,27 @@ def run_workload(
             (see :mod:`repro.clustering`); raises for workload kinds
             that do not support it.
     """
-    if options is not None:
-        if seed == 0:
-            seed = options.seed
-        if instructions is None:
-            instructions = options.instructions
-        if telemetry is False:
-            telemetry = options.telemetry
-        if standalone_cache is None:
-            standalone_cache = options.standalone_cache
-        if check is False:
-            check = options.check
-        if backend == "classic":
-            backend = getattr(options, "backend", "classic")
+    if options is None:
+        options = RunOptions()
+    if seed is None:
+        seed = options.seed
+    if instructions is None:
+        instructions = options.instructions
+    if telemetry is None:
+        telemetry = options.telemetry
+    if standalone_cache is None:
+        standalone_cache = options.standalone_cache
+    if check is None:
+        check = options.check
+    if backend is None:
+        backend = options.backend
     source = resolve_workload(mix)
-    if source.kind == "shared":
-        # Shared-data scale-out workloads replay through the clustering
-        # driver (the only path that understands ``clusters``).
-        from repro.clustering.scaleout import run_shared_workload
+    if isinstance(source, TraceSource):
+        # Trace families replay through the trace driver (no timing
+        # model); imported lazily to keep the package acyclic.
+        from repro.tenancy.run import run_trace_workload
 
-        return run_shared_workload(
+        return run_trace_workload(
             source,
             config,
             scheme,
@@ -385,28 +409,7 @@ def run_workload(
             backend=backend,
             clusters=clusters,
         )
-    if clusters is not None:
-        raise ValueError(
-            f"clusters= applies to 'shared' workloads only; "
-            f"{source.label!r} is kind {source.kind!r}"
-        )
-    if source.kind == "tenants":
-        # Trace-based tenant workloads replay through the tenancy driver
-        # (no timing model); imported lazily to keep the package acyclic.
-        from repro.tenancy.run import run_tenant_workload
-
-        return run_tenant_workload(
-            source,
-            config,
-            scheme,
-            seed=seed,
-            instructions=instructions,
-            scheme_kwargs=scheme_kwargs,
-            telemetry=telemetry,
-            standalone_cache=standalone_cache,
-            check=check,
-            backend=backend,
-        )
+    _check_clusters(source, clusters)
     label, profiles = source.label, source.profiles()
     if len(profiles) != config.num_cores:
         raise ValueError(
@@ -431,29 +434,9 @@ def run_workload(
     scheme_obj, policy = build_scheme(
         scheme, config.num_cores, sp_ipcs, **(scheme_kwargs or {})
     )
-    if check and backend != "classic":
-        # The invariant checker audits the classic object model (it walks
-        # CacheSet lists); a checked run always uses the classic engine.
-        warnings.warn(
-            "check=True audits the classic engine; ignoring backend="
-            f"{backend!r} for this run",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend = "classic"
-    cache, _ = build_cache(
-        config.geometry,
-        config.num_cores,
-        policy=policy,
-        scheme=scheme_obj,
-        backend=backend,
+    cache, checker = _build_run_cache(
+        config.geometry, config.num_cores, policy, scheme_obj, backend, check
     )
-    checker = None
-    if check:
-        # Imported lazily: unchecked runs never touch the check package.
-        from repro.check.invariants import attach_checker
-
-        checker = attach_checker(cache)
     recorder: Optional[TelemetryRecorder] = None
     if telemetry:
         recorder = (

@@ -27,7 +27,6 @@ from repro.partitioning.pipp import PIPPScheme
 from repro.partitioning.fair_waypart import FairWayPartitionScheme
 from repro.partitioning.vantage import VantageScheme
 from repro.partitioning.tadip import TADIPPolicy
-from repro.partitioning.setpart import SetPartitionedCache
 
 __all__ = [
     "ManagementScheme",
@@ -39,5 +38,4 @@ __all__ = [
     "FairWayPartitionScheme",
     "VantageScheme",
     "TADIPPolicy",
-    "SetPartitionedCache",
 ]

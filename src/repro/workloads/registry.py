@@ -11,6 +11,9 @@ so workload construction is now a first-class API:
   implements: a stable ``label``, a ``num_cores`` width, a canonical
   ``identity()`` payload for campaign fingerprints, and (for families the
   timing model can drive) ``profiles()``.
+- :class:`TraceSource` is the narrower protocol of the families that
+  replay as raw ``(cores, addrs)`` chunks instead (tenants, shared
+  data); :mod:`repro.tenancy.run` drives any of them.
 - :func:`resolve_workload` turns any historical ``mix`` argument — a mix
   name, a sequence of benchmark names/profiles, a ``"family:spec"``
   reference, or a ready ``WorkloadSource`` — into a source.
@@ -28,7 +31,9 @@ the resolver changes no existing fingerprint.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.workloads.benchmark import BenchmarkProfile
 from repro.workloads.mixes import get_mix
@@ -36,6 +41,7 @@ from repro.workloads.spec import get_profile
 
 __all__ = [
     "WorkloadSource",
+    "TraceSource",
     "MixSource",
     "BenchmarkListSource",
     "WORKLOAD_FAMILIES",
@@ -77,14 +83,45 @@ class WorkloadSource(ABC):
     def profiles(self) -> List[BenchmarkProfile]:
         """Benchmark profiles for the timing-model drive.
 
-        Trace-based families (tenants) have no per-program profiles and
-        raise ``TypeError``; callers that can replay raw traces should
-        check ``kind`` instead of calling this speculatively.
+        Trace-based families (:class:`TraceSource`) have no per-program
+        profiles and raise ``TypeError``; callers that can replay raw
+        traces should check for a ``TraceSource`` instead of calling this
+        speculatively.
         """
         raise TypeError(
             f"{self.kind!r} workloads have no benchmark profiles; "
             "they replay as raw traces (see docs/tenancy.md)"
         )
+
+
+class TraceSource(WorkloadSource):
+    """A workload that replays as a raw trace rather than a timing model.
+
+    Its "cores" are accounting owners (tenants, or real cores of a
+    shared-data machine); the replay driver charges each chunk's accesses
+    to the ``cores`` array it carries.
+    """
+
+    @property
+    @abstractmethod
+    def core_names(self) -> List[str]:
+        """Per-core display labels (``WorkloadResult.benchmarks``)."""
+
+    @abstractmethod
+    def chunks(
+        self, total_requests: int, seed: int
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The interleaved shared trace as ``(cores, addrs)`` chunks."""
+
+    @abstractmethod
+    def solo_requests(self, index: int, total_requests: int) -> int:
+        """Core ``index``'s request budget when run alone."""
+
+    @abstractmethod
+    def core_chunks(
+        self, index: int, total_requests: int, seed: int
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Core ``index``'s isolated stream (cores all 0) for solo runs."""
 
 
 class MixSource(WorkloadSource):

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.util.rng import derive_seed
-from repro.workloads.registry import WorkloadSource, register_family
+from repro.workloads.registry import TraceSource, register_family
 from repro.workloads.tenants import (
     DEFAULT_CHUNK,
     TENANT_ADDRESS_STRIDE,
@@ -140,7 +140,7 @@ class _CoreStream:
         return shared, ranks
 
 
-class SharedWorkload(WorkloadSource):
+class SharedWorkload(TraceSource):
     """A shared-data workload: N cores, private pools plus group pools."""
 
     kind = "shared"

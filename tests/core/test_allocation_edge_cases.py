@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allocation import (
-    BalancedPolicy,
     FairnessPolicy,
     HitMaxPolicy,
-    MultiQOSPolicy,
     QOSPolicy,
     UCPExtendedPolicy,
 )
@@ -18,9 +16,7 @@ ALL_POLICIES = [
     ("hitmax-pure", lambda: HitMaxPolicy(pure=True)),
     ("fairness", lambda: FairnessPolicy()),
     ("qos", lambda: QOSPolicy(target_ipc=1.0)),
-    ("multiqos", lambda: MultiQOSPolicy({0: 1.0})),
     ("ucpx", lambda: UCPExtendedPolicy()),
-    ("balanced", lambda: BalancedPolicy(0.5)),
 ]
 
 

@@ -1,35 +1,16 @@
 """Tests for RunOptions and the experiment_run decorator."""
 
 import os
-import warnings
 
 import pytest
 
 from repro.experiments import options as options_module
 from repro.experiments import parallel
-from repro.experiments.options import RunOptions, experiment_run, resolve_run_options
+from repro.experiments.options import RunOptions, experiment_run
 
 
 def test_jobs_env_name_in_sync_with_parallel_executor():
     assert options_module.JOBS_ENV == parallel.JOBS_ENV
-
-
-class TestResolveRunOptions:
-    def test_none_becomes_defaults(self):
-        assert resolve_run_options(None, {}) == RunOptions()
-
-    def test_legacy_kwargs_warn_and_override(self):
-        base = RunOptions(seed=1)
-        with pytest.warns(DeprecationWarning, match="instructions, seed"):
-            merged = resolve_run_options(
-                base, {"instructions": 500, "seed": 9}, stacklevel=2
-            )
-        assert merged == RunOptions(instructions=500, seed=9)
-
-    def test_no_legacy_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolve_run_options(RunOptions(), {})
 
 
 class TestExperimentRunDecorator:
@@ -58,17 +39,18 @@ class TestExperimentRunDecorator:
         assert result["instructions"] is None
         assert result["seed"] == 0
 
-    def test_legacy_kwargs_warn(self):
+    def test_run_control_keywords_rejected(self):
+        """A control passed as a keyword would be overwritten by options."""
         run = self.make_run()
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            result = run(instructions=55)
-        assert result["instructions"] == 55
+        with pytest.raises(TypeError, match="instructions, seed only through"):
+            run(instructions=55, seed=3)
+        with pytest.raises(TypeError, match="jobs"):
+            run(options=RunOptions(), jobs=2)
 
-    def test_legacy_positional_instructions_warn(self):
+    def test_positional_instructions_rejected(self):
         run = self.make_run()
-        with pytest.warns(DeprecationWarning):
-            result = run(1000)
-        assert result["instructions"] == 1000
+        with pytest.raises(TypeError, match="RunOptions"):
+            run(1000)
 
     def test_jobs_pinned_to_environment_during_run(self, monkeypatch):
         monkeypatch.delenv(options_module.JOBS_ENV, raising=False)

@@ -1,5 +1,7 @@
 """Tests for the workload runner."""
 
+import warnings
+
 import pytest
 
 from repro.experiments.configs import machine
@@ -7,7 +9,6 @@ from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     DEFAULT_STANDALONE_CACHE,
     StandaloneIPCCache,
-    _resolve_mix,
     run_workload,
     standalone_ipcs,
 )
@@ -97,6 +98,26 @@ class TestRunWorkload:
         b = run_workload("Q1", CFG, "prism-h", seed=3)
         assert a == b
 
+    def test_explicit_default_values_beat_options(self):
+        """Arguments equal to their old defaults still override options."""
+        explicit = run_workload("Q1", CFG, "prism-h", seed=0)
+        merged = run_workload(
+            "Q1", CFG, "prism-h", seed=0, options=RunOptions(seed=5)
+        )
+        assert merged == explicit
+        with warnings.catch_warnings():
+            # options' check=True would force classic with a warning, and
+            # options' vector backend cannot represent UCP (another one).
+            warnings.simplefilter("error", RuntimeWarning)
+            run_workload(
+                "Q1", CFG, "dip", backend="vector", check=False,
+                options=RunOptions(check=True),
+            )
+            run_workload(
+                "Q1", CFG, "ucp", backend="classic",
+                options=RunOptions(backend="vector"),
+            )
+
     def test_options_telemetry(self):
         result = run_workload(
             "Q1", CFG, "prism-h", options=RunOptions(telemetry=True)
@@ -118,11 +139,10 @@ class TestRemovedDeprecatedAPIs:
 
         assert not hasattr(runner, "clear_standalone_cache")
 
-    def test_resolve_mix_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="resolve_workload"):
-            label, profiles = _resolve_mix("Q1")
-        assert label == "Q1"
-        assert len(profiles) == 4
+    def test_resolve_mix_shim_removed(self):
+        import repro.experiments.runner as runner
+
+        assert not hasattr(runner, "_resolve_mix")
 
 
 class TestStandaloneCache:

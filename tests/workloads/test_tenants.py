@@ -26,7 +26,7 @@ def concat(workload, requests, seed, chunk_size=DEFAULT_CHUNK):
 
 def solo_concat(workload, index, requests, seed, chunk_size=DEFAULT_CHUNK):
     addrs = []
-    for cores, a in workload.tenant_chunks(index, requests, seed,
+    for cores, a in workload.core_chunks(index, requests, seed,
                                            chunk_size=chunk_size):
         assert not cores.any()  # solo streams run on core 0
         addrs.append(a)
@@ -110,7 +110,7 @@ class TestTraceGeneration:
             assert observed == pytest.approx(share, abs=0.02)
 
     def test_solo_stream_is_prefix_equal_to_shared_draws(self):
-        """tenant_chunks replays exactly the keys the tenant drew shared."""
+        """core_chunks replays exactly the keys the tenant drew shared."""
         cores, addrs = concat(self.WORKLOAD, 6_000, seed=7)
         for index in range(self.WORKLOAD.num_cores):
             shared_keys = addrs[cores == index] - index * TENANT_ADDRESS_STRIDE
@@ -183,7 +183,7 @@ class TestPresetsAndIdentity:
         workload = get_tenant_workload("web8")
         assert workload.label == "tenants:web8"
         assert workload.kind == "tenants"
-        assert len(workload.tenant_names) == 8
+        assert len(workload.core_names) == 8
 
     def test_identity_is_stable_and_json_able(self):
         a = get_tenant_workload("smoke4").identity()
