@@ -8,7 +8,7 @@ Two engines implement the same shared-cache semantics:
 - ``"vector"`` — :class:`~repro.cache.vector.VectorCache`, numpy-backed
   state replayed in batches. Several times faster on batch replays, but
   only for the configurations it can represent (LRU/DIP baselines,
-  PriSM or no scheme, interval-level monitors and shadow tags).
+  PriSM or no scheme; any monitor).
 
 The two are certified bit-exact by ``repro-sim check fuzz --backend
 vector`` (see :mod:`repro.check.differential`), which is why the backend

@@ -23,7 +23,7 @@ under its baseline policy.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.cache.cacheset import CacheSet
 from repro.cache.geometry import CacheGeometry
@@ -565,15 +565,7 @@ class SharedCache:
         self._interval_left = self._interval_len
         self.intervals_completed += 1
 
-    # -- integrity checks (used by tests and assertions) ------------------------
-
-    def scan_occupancy(self) -> List[int]:
-        """Recompute per-owner occupancy by scanning every set (slow)."""
-        counts = [0] * self.num_cores
-        for cset in self.sets:
-            for block in cset.blocks:
-                counts[block.core] += 1
-        return counts
+    # -- state view and integrity (invariant checker, differential suite) ------
 
     def group_of(self, core: int) -> int:
         """Accounting owner a real core's fills are charged to."""
@@ -584,29 +576,31 @@ class SharedCache:
         """The cluster map in force (``None`` when unclustered)."""
         return list(self._core_map) if self._core_map is not None else None
 
-    def scan_charges(self) -> List[int]:
-        """Per-real-core block charges, recounted from block fillers (slow).
+    def state(self):
+        """Every resident block as an :class:`~repro.cache.state.EngineState`.
 
-        Only meaningful with a ``core_map``: each resident block is
-        attributed to the real core that filled it. The cluster-conservation
-        invariant checks that these sum, group by group, to ``occupancy``.
+        Read from each set's tag index; :meth:`check_integrity` audits
+        that the recency lists and per-core counts agree with it.
         """
-        counts = [0] * self.real_num_cores
-        for cset in self.sets:
-            for block in cset.blocks:
-                counts[block.filler] += 1
-        return counts
+        import numpy as np
 
-    def scan_sharers(self) -> List[Tuple[int, int, int, int]]:
-        """Sharer state of every resident block, in a comparable shape.
+        from repro.cache.state import EngineState
 
-        Returns sorted ``(set_index, tag, accounting_owner, sharers)``
-        tuples — the zero-epsilon differential suite compares this
-        across engines when ``track_sharers`` is on.
+        by_tags = [cset._by_tag for cset in self.sets]
+        sets = np.repeat(np.arange(len(by_tags)), [len(by_tag) for by_tag in by_tags])
+        tags = [tag for by_tag in by_tags for tag in by_tag]
+        blocks = [block for by_tag in by_tags for block in by_tag.values()]
+        return EngineState.of(
+            self, sets, tags, [block.core for block in blocks],
+            filler=[b.filler for b in blocks] if self._core_map is not None else None,
+            sharers=[b.sharers for b in blocks] if self.track_sharers else None,
+        )
+
+    def check_integrity(self) -> None:
+        """Audit every set's links, tag index, counts and free ways.
+
+        Raises:
+            AssertionError: on any inconsistency.
         """
-        rows = []
         for cset in self.sets:
-            for block in cset.blocks:
-                rows.append((cset.index, block.tag, block.core, block.sharers))
-        rows.sort()
-        return rows
+            cset.check_integrity()

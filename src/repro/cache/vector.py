@@ -71,10 +71,13 @@ Supported configurations
 Baseline policy ``LRUPolicy`` or ``DIPPolicy``; scheme ``None`` or
 ``PrismScheme`` (any allocation policy — the scheme object itself is
 reused wholesale, so Algorithms 1-3, quantisation and bias correction are
-the same code as the classic engine). Monitors must be interval-level
-(``observe`` tagged ``_hot_noop``) or ``ShadowTagMonitor``. Anything else
-raises :class:`VectorUnsupported`; callers (``resolve_backend``) fall back
-to the classic engine.
+the same code as the classic engine). Any other configuration raises
+:class:`VectorUnsupported`; ``build_cache`` falls back to the classic
+engine. Monitors are always accepted: shadow tags replay from the batch
+machinery's deferred queues, interval-level monitors (``observe`` tagged
+``_hot_noop``) only see boundaries, and any other per-access monitor —
+the invariant checker of ``--check`` runs — sends batches down the
+scalar path, so ``state()`` is exact whenever it observes an access.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache.cache import AccessResult
+from repro.cache.cache import AccessResult, _active
 from repro.cache.encode import EncodedTrace, encode_accesses
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.base import ReplacementPolicy
@@ -101,11 +104,6 @@ _FAR = np.int64(1) << 62
 
 class VectorUnsupported(ValueError):
     """The vector backend cannot represent this configuration exactly."""
-
-
-def _is_hot_noop(method) -> bool:
-    func = getattr(method, "__func__", method)
-    return bool(getattr(func, "_hot_noop", False))
 
 
 class BatchResults:
@@ -255,6 +253,7 @@ class VectorCache:
         self._shadows: list = []
         self._shadow_observes: tuple = ()
         self._shadow_masks: tuple = ()
+        self._observers: tuple = ()
         self._interval_monitors: tuple = ()
 
         # Reusable chunk scratch (grown on demand).
@@ -297,25 +296,24 @@ class VectorCache:
     def add_monitor(self, monitor) -> None:
         """Register an access observer.
 
-        Only interval-level monitors (``observe`` tagged ``_hot_noop``)
-        and ``ShadowTagMonitor`` are representable; the shadow's per-access
-        observations are replayed in exact position order from the batch
-        machinery's deferred queues.
+        The shadow's per-access observations are replayed in exact
+        position order from the batch machinery's deferred queues. Any
+        other per-access monitor (``observe`` not tagged ``_hot_noop``,
+        e.g. the invariant checker) sees every access after the shadows,
+        before any mutation — ``access_many`` then takes the scalar route.
         """
         from repro.cache.shadow import ShadowTagMonitor
 
-        if not isinstance(monitor, ShadowTagMonitor) and not _is_hot_noop(
-            monitor.observe
-        ):
-            raise VectorUnsupported(
-                f"vector backend cannot drive per-access monitor "
-                f"{type(monitor).__name__}; use the classic backend"
-            )
         self.monitors.append(monitor)
         self._shadows = [
             m for m in self.monitors if isinstance(m, ShadowTagMonitor)
         ]
         self._shadow_observes = tuple(m.observe for m in self._shadows)
+        self._observers = tuple(
+            m.observe
+            for m in self.monitors
+            if not isinstance(m, ShadowTagMonitor) and _active(m.observe) is not None
+        )
         self._shadow_masks = tuple(m.sample_mask for m in self._shadows)
         self._interval_monitors = tuple(
             m.end_interval
@@ -341,11 +339,6 @@ class VectorCache:
     def valid_blocks(self) -> int:
         return sum(self.occupancy)
 
-    def scan_occupancy(self) -> List[int]:
-        """Recompute per-owner occupancy from the owner matrix."""
-        owners = self._owners[self._owners >= 0]
-        return np.bincount(owners, minlength=self.num_cores).tolist()
-
     def group_of(self, core: int) -> int:
         """Accounting owner a real core's fills are charged to."""
         if self._core_map_arr is not None:
@@ -359,23 +352,44 @@ class VectorCache:
             return self._core_map_arr.tolist()
         return None
 
-    def scan_sharers(self) -> List[tuple]:
-        """Sharer state of every resident block, in a comparable shape.
+    def state(self):
+        """Every resident block as an :class:`~repro.cache.state.EngineState`.
 
-        Sorted ``(set_index, tag, accounting_owner, sharers)`` tuples,
-        byte-comparable with ``SharedCache.scan_sharers``.
+        No fillers: core ids are translated at entry, before any state.
         """
-        rows = []
+        from repro.cache.state import EngineState
+
+        valid = np.arange(self.assoc) < self._nvalid[:, None]
         sharers = self._sharers
-        tags = self._tags
-        owners = self._owners
-        for s in range(self.num_sets):
-            for w in range(int(self._nvalid[s])):
-                rows.append(
-                    (s, int(tags[s, w]), int(owners[s, w]), int(sharers[s, w]))
-                )
-        rows.sort()
-        return rows
+        return EngineState.of(
+            self, np.nonzero(valid)[0], self._tags[valid], self._owners[valid],
+            sharers=sharers[valid] if sharers is not None else None,
+        )
+
+    def check_integrity(self) -> None:
+        """Audit valid-way counts, PriSM residency counts and MRU hints.
+
+        Raises:
+            AssertionError: on any disagreement with the tag/owner arrays.
+        """
+        nvalid = self._nvalid
+        valid = np.arange(self.assoc) < nvalid[:, None]
+        mismatch = (valid != (self._tags >= 0)).any(axis=1)
+        bad = np.flatnonzero((nvalid < 0) | (nvalid > self.assoc) | mismatch)
+        assert not len(bad), (
+            f"set {bad[0]}: valid-way count {nvalid[bad[0]]} disagrees with its tags"
+        )
+        hinted = np.flatnonzero(self._mru_tag >= 0)
+        mru_tags = self._tags[hinted, self._mru_way[hinted]]
+        stale = hinted[mru_tags != self._mru_tag[hinted]]
+        assert not len(stale), f"set {stale[0]}: MRU hint names a non-resident tag"
+        if self._counts is not None:
+            owners = self._owners[valid]
+            assert ((owners >= 0) & (owners < self.num_cores)).all(), "owner out of range"
+            recount = np.zeros_like(self._counts)
+            np.add.at(recount, (np.nonzero(valid)[0], owners), 1)
+            bad = np.flatnonzero((recount != self._counts).any(axis=1))
+            assert not len(bad), f"set {bad[0]}: residency counts disagree with owners"
 
     # -- pending (deferred) accounting ------------------------------------
 
@@ -541,6 +555,9 @@ class VectorCache:
             else:
                 for observe in self._shadow_observes:
                     observe(c, s, t, hit)
+        if self._observers:
+            for observe in self._observers:
+                observe(c, s, t, hit)
 
         if hit:
             self.stats.hits[c] += 1
@@ -718,18 +735,17 @@ class VectorCache:
             )
         if n == 0:
             return out
-        if self._core_map_arr is not None or self.track_sharers:
+        if self._core_map_arr is not None:
+            # Cluster granularity is a pure index translation: every
+            # path downstream already works in accounting-owner ids.
             c_all, s_all, t_all = trace
-            if self._core_map_arr is not None:
-                # Cluster granularity is a pure index translation: every
-                # path downstream already works in accounting-owner ids.
-                c_all = self._core_map_arr[c_all]
-            if self.track_sharers:
-                # Sharer masks mutate on every hit, which breaks the
-                # out-of-order clean-hit scatter; replay through the
-                # scalar path (same state, same RNG order, bit-exact).
-                return self._replay_scalar(c_all, s_all, t_all, out)
-            trace = EncodedTrace(c_all, s_all, t_all)
+            trace = EncodedTrace(self._core_map_arr[c_all], s_all, t_all)
+        if self.track_sharers or self._observers:
+            # Sharer masks mutate on every hit, which breaks the
+            # out-of-order clean-hit scatter, and a per-access monitor
+            # must see exact state: replay through the scalar path (same
+            # state, same RNG order, bit-exact).
+            return self._replay_scalar(*trace, out)
         free_order = (
             self.scheme is None
             and self._dip is None
@@ -760,7 +776,7 @@ class VectorCache:
         return out
 
     def _replay_scalar(self, c_all, s_all, t_all, out) -> Optional[BatchResults]:
-        """Per-access replay of a batch (the ``track_sharers`` route)."""
+        """Per-access replay of a batch (sharer tracking, per-access monitors)."""
         cores_l = c_all.tolist()
         sets_l = s_all.tolist()
         tags_l = t_all.tolist()

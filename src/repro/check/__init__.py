@@ -10,9 +10,9 @@ holds the machinery that keeps it honest:
   of the paper's Algorithms 1-3, Eq. 1 and the Section 3.1 replacement
   mechanism, driven by the same scheme-registry names as the engine.
 - :mod:`repro.check.invariants` — a **runtime invariant checker** that
-  plugs into :class:`~repro.cache.cache.SharedCache` through the existing
-  observer/interval hooks and raises a typed :class:`InvariantViolation`
-  the moment internal state goes inconsistent.
+  plugs into either engine through the existing observer/interval hooks,
+  audits its engine-neutral ``state()`` view, and raises a typed
+  :class:`InvariantViolation` the moment internal state goes inconsistent.
 - :mod:`repro.check.differential` — a **differential fuzzer** that runs
   random (geometry, mix, seed, scheme) cases through both simulators and
   asserts access-for-access equality of hits, victim choices and the

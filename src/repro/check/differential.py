@@ -7,11 +7,13 @@ replays the same synthetic stream through both and demands **exact**
 equality:
 
 - per access: hit/miss, set index, evicted core and evicted block address;
-- per interval boundary: the installed eviction distribution ``E_i`` and
-  the allocation targets ``T_i``, float-for-float;
-- at end of run: occupancy, per-core hit/miss/eviction counters, a full
-  occupancy rescan, the replacement/fallback counters and (for DIP) the
-  PSEL state.
+- per interval boundary: the access that fired it, the installed
+  eviction distribution ``E_i`` and the allocation targets ``T_i``,
+  float-for-float;
+- at end of run: the full resident contents (every block's set, tag,
+  owner and, when tracked, sharers, from the engine-neutral ``state()``
+  view), occupancy and its recount, per-core hit/miss/eviction counters,
+  the replacement/fallback counters and (for DIP) the PSEL state.
 
 Both simulators stand in for the same idealised hardware — the same
 seeded PRNG streams (via :mod:`repro.util.rng` labels) and the same float
@@ -206,92 +208,25 @@ def compare_run(
     reference: ReferenceCache,
     stream: Sequence[Tuple[int, int]],
 ) -> List[Divergence]:
-    """Replay ``stream`` through both simulators; return the divergences.
+    """Replay ``stream`` through both simulators per access; return the divergences.
 
-    Stops at the first disagreement (at most one per-access/per-interval
-    divergence is reported; end-of-run checks only run on a clean replay,
-    where they can still catch counter drift the access results hide).
+    Same comparison as :func:`compare_batched`: the first per-access or
+    per-boundary disagreement, else every end-of-run difference.
     """
-    divergences: List[Divergence] = []
-    scheme = cache.scheme
-    ref_scheme = reference.scheme
-    intervals_seen = 0
-
-    for index, (core, addr) in enumerate(stream):
-        engine_result = cache.access(core, addr)
-        ref_result = reference.access(core, addr)
-        engine_tuple = (
-            engine_result.hit,
-            engine_result.set_index,
-            engine_result.evicted_core,
-            engine_result.evicted_addr,
-        )
-        if engine_tuple != ref_result.as_tuple():
-            divergences.append(
-                Divergence(index, "access", engine_tuple, ref_result.as_tuple())
-            )
-            return divergences
-        if cache.intervals_completed != reference.intervals_completed:
-            divergences.append(
-                Divergence(
-                    index,
-                    "intervals_completed",
-                    cache.intervals_completed,
-                    reference.intervals_completed,
-                )
-            )
-            return divergences
-        if ref_scheme is not None and reference.intervals_completed > intervals_seen:
-            intervals_seen = reference.intervals_completed
-            engine_e = list(scheme.eviction_probabilities)
-            if engine_e != ref_scheme.probabilities:
-                divergences.append(
-                    Divergence(
-                        index, "eviction_probabilities", engine_e, ref_scheme.probabilities
-                    )
-                )
-                return divergences
-            engine_t = list(scheme.targets)
-            if engine_t != ref_scheme.targets:
-                divergences.append(
-                    Divergence(index, "targets", engine_t, ref_scheme.targets)
-                )
-                return divergences
-
-    def check(what: str, engine_value, ref_value) -> None:
-        if engine_value != ref_value:
-            divergences.append(Divergence(-1, what, engine_value, ref_value))
-
-    check("occupancy", list(cache.occupancy), reference.occupancy)
-    check("scan_occupancy", cache.scan_occupancy(), reference.scan_occupancy())
-    check("hits", list(cache.stats.hits), reference.hits)
-    check("misses", list(cache.stats.misses), reference.misses)
-    check("evictions", list(cache.stats.evictions), reference.evictions)
-    if ref_scheme is not None:
-        check("replacements", scheme.manager.replacements, ref_scheme.replacements)
-        check(
-            "victim_not_found",
-            scheme.manager.victim_not_found,
-            ref_scheme.victim_not_found,
-        )
-    engine_psel = getattr(cache.policy, "psel", None)
-    ref_psel = getattr(reference.policy, "psel", None)
-    if engine_psel is not None or ref_psel is not None:
-        check("psel", engine_psel, ref_psel)
-    if cache.track_sharers:
-        check("sharers", cache.scan_sharers(), reference.scan_sharers())
-    if cache.core_map is not None:
-        check("charges", cache.scan_charges(), reference.scan_charges())
-    return divergences
+    return _compare(
+        _replay_oracle(cache, stream), _replay_oracle(reference, stream),
+        cache, reference,
+    )
 
 
 class _BoundaryProbe:
-    """Telemetry stand-in capturing ``(E, T)`` at every interval boundary.
+    """Telemetry stand-in capturing ``(index, k, E, T)`` at every boundary.
 
     Both engines call ``record_interval`` from inside their boundary
     handler, after the scheme reallocated and before
-    ``intervals_completed`` increments — so the snapshots carry exactly
-    the per-boundary state a per-access replay observes.
+    ``intervals_completed`` increments, with every access up to the
+    boundary's counted — so ``index``, the accesses counted so far minus
+    one, is the access that fired the boundary, as in a per-access replay.
     """
 
     def __init__(self) -> None:
@@ -301,21 +236,14 @@ class _BoundaryProbe:
         pass
 
     def record_interval(self, cache) -> None:
-        scheme = cache.scheme
+        stats = cache.stats
         self.snapshots.append(
             (
+                sum(stats.hits) + sum(stats.misses) - 1,
                 cache.intervals_completed + 1,
-                list(scheme.eviction_probabilities),
-                list(scheme.targets),
             )
+            + _scheme_et(cache)
         )
-
-
-def _result_tuple(result) -> tuple:
-    """(hit, set, evicted_core, evicted_addr) for either simulator's result."""
-    if hasattr(result, "as_tuple"):
-        return result.as_tuple()
-    return (result.hit, result.set_index, result.evicted_core, result.evicted_addr)
 
 
 def _scheme_et(sim) -> tuple:
@@ -327,39 +255,40 @@ def _scheme_et(sim) -> tuple:
 
 
 def _replay_oracle(oracle, stream: Sequence[Tuple[int, int]]):
-    """Per-access replay of an oracle (classic engine or reference).
+    """Per-access replay of a simulator (classic engine or reference).
 
     Returns the per-access result tuples and the boundary snapshots in
-    the same shape :class:`_BoundaryProbe` records.
+    the shape :class:`_BoundaryProbe` records.
     """
     tuples = []
     boundaries = []
     seen = 0
     has_scheme = oracle.scheme is not None
-    for core, addr in stream:
-        tuples.append(_result_tuple(oracle.access(core, addr)))
+    for index, (core, addr) in enumerate(stream):
+        tuples.append(tuple(oracle.access(core, addr)))
         if has_scheme and oracle.intervals_completed > seen:
             seen = oracle.intervals_completed
-            boundaries.append((seen,) + _scheme_et(oracle))
+            boundaries.append((index, seen) + _scheme_et(oracle))
     return tuples, boundaries
 
 
 def _end_state(sim) -> dict:
-    """End-of-run state of either simulator, keyed for comparison."""
+    """End-of-run state of any simulator, keyed for comparison.
+
+    ``resident`` is the full resident contents from ``sim.state()``;
+    ``charges`` appears only where the simulator keeps fillers.
+    """
+    view = sim.state()
+    stats = getattr(sim, "stats", sim)  # the reference keeps flat counters
     state = {
-        "occupancy": list(sim.occupancy),
-        "scan_occupancy": list(sim.scan_occupancy()),
+        "occupancy": view.occupancy,
+        "recount": view.recount(),
+        "resident": view.rows(),
         "intervals_completed": sim.intervals_completed,
+        "hits": list(stats.hits),
+        "misses": list(stats.misses),
+        "evictions": list(stats.evictions),
     }
-    stats = getattr(sim, "stats", None)
-    if stats is not None:
-        state["hits"] = list(stats.hits)
-        state["misses"] = list(stats.misses)
-        state["evictions"] = list(stats.evictions)
-    else:
-        state["hits"] = list(sim.hits)
-        state["misses"] = list(sim.misses)
-        state["evictions"] = list(sim.evictions)
     scheme = sim.scheme
     if scheme is not None:
         manager = getattr(scheme, "manager", scheme)
@@ -368,14 +297,36 @@ def _end_state(sim) -> dict:
     psel = getattr(sim.policy, "psel", None)
     if psel is not None:
         state["psel"] = psel
-    if getattr(sim, "track_sharers", False) and hasattr(sim, "scan_sharers"):
-        state["sharers"] = sim.scan_sharers()
-    # The vector engine never materialises fillers (translation happens
-    # before its state machine), so "charges" only appears — and is only
-    # compared — between simulators that can rescan them.
-    if getattr(sim, "core_map", None) is not None and hasattr(sim, "scan_charges"):
-        state["charges"] = sim.scan_charges()
+    if view.filler is not None:
+        state["charges"] = view.charges()
     return state
+
+
+_BOUNDARY_FIELDS = ("boundary access", "interval index", "eviction_probabilities", "targets")
+
+
+def _compare(engine_run, oracle_run, engine, oracle, label: str = "") -> List[Divergence]:
+    """Compare two replays: per access, then per boundary, then end state."""
+    (e_tuples, e_bounds), (o_tuples, o_bounds) = engine_run, oracle_run
+    for index, (engine_tuple, oracle_tuple) in enumerate(zip(e_tuples, o_tuples)):
+        if engine_tuple != oracle_tuple:
+            return [Divergence(index, f"{label}access", engine_tuple, oracle_tuple)]
+    for e_bound, o_bound in zip(e_bounds, o_bounds):
+        for what, e_value, o_value in zip(_BOUNDARY_FIELDS, e_bound, o_bound):
+            if e_value != o_value:
+                where = f"{label}{what}@interval{o_bound[1]}"
+                return [Divergence(o_bound[0], where, e_value, o_value)]
+    if len(e_bounds) != len(o_bounds):
+        return [
+            Divergence(-1, f"{label}interval boundaries", len(e_bounds), len(o_bounds))
+        ]
+    engine_state = _end_state(engine)
+    oracle_state = _end_state(oracle)
+    return [
+        Divergence(-1, f"{label}{what}", engine_state[what], oracle_state[what])
+        for what in sorted(set(engine_state) & set(oracle_state))
+        if engine_state[what] != oracle_state[what]
+    ]
 
 
 def compare_batched(
@@ -391,15 +342,14 @@ def compare_batched(
     ``E``/``T`` at each boundary; ``engine`` replays the same stream through
     :meth:`access_many` in ``slabs`` batch calls (exercising state carry-over
     between calls) with a boundary probe attached. Per-access results, the
-    ordered boundary snapshots, and the end-of-run state must all match
-    exactly.
+    ordered boundary snapshots (with the access that fired each), and the
+    end-of-run state must all match exactly.
     """
     from repro.cache.encode import encode_trace
 
-    o_tuples, o_bounds = _replay_oracle(oracle, stream)
-    probe = None
+    oracle_run = _replay_oracle(oracle, stream)
+    probe = _BoundaryProbe()
     if engine.scheme is not None:
-        probe = _BoundaryProbe()
         engine.set_telemetry(probe)
     e_tuples = []
     n = len(stream)
@@ -409,43 +359,10 @@ def compare_batched(
             encode_trace(stream[start : start + cut], engine.geometry),
             collect=True,
         )
-        e_tuples.extend(_result_tuple(r) for r in out)
-
-    divergences: List[Divergence] = []
-    for index, (engine_tuple, oracle_tuple) in enumerate(zip(e_tuples, o_tuples)):
-        if engine_tuple != oracle_tuple:
-            divergences.append(
-                Divergence(index, f"{label}access", engine_tuple, oracle_tuple)
-            )
-            return divergences
-    e_bounds = probe.snapshots if probe is not None else []
-    if len(e_bounds) != len(o_bounds):
-        divergences.append(
-            Divergence(-1, f"{label}interval boundaries", len(e_bounds), len(o_bounds))
-        )
-        return divergences
-    for (e_k, e_e, e_t), (o_k, o_e, o_t) in zip(e_bounds, o_bounds):
-        if e_k != o_k:
-            divergences.append(Divergence(-1, f"{label}interval index", e_k, o_k))
-            return divergences
-        if e_e != o_e:
-            divergences.append(
-                Divergence(-1, f"{label}eviction_probabilities@interval{e_k}", e_e, o_e)
-            )
-            return divergences
-        if e_t != o_t:
-            divergences.append(
-                Divergence(-1, f"{label}targets@interval{e_k}", e_t, o_t)
-            )
-            return divergences
-    engine_state = _end_state(engine)
-    oracle_state = _end_state(oracle)
-    for what in sorted(set(engine_state) & set(oracle_state)):
-        if engine_state[what] != oracle_state[what]:
-            divergences.append(
-                Divergence(-1, f"{label}{what}", engine_state[what], oracle_state[what])
-            )
-    return divergences
+        e_tuples.extend(map(tuple, out))
+    return _compare(
+        (e_tuples, probe.snapshots), oracle_run, engine, oracle, label
+    )
 
 
 def _build_engine(case: DifferentialCase, standalone_ipcs, perf) -> SharedCache:

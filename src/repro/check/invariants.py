@@ -1,18 +1,23 @@
-"""Runtime invariant checking for :class:`~repro.cache.cache.SharedCache`.
+"""Runtime invariant checking for the shared cache, on either engine.
 
 The checker is an ordinary access monitor (wired in through
-``cache.add_monitor``, same hook the shadow tags use), so it needs no
-engine changes and costs nothing when not attached. Every ``every``
-accesses — and on demand via :meth:`InvariantChecker.check_now` — it
-audits the whole cache:
+``cache.add_monitor``, same hook the shadow tags use), so it costs
+nothing when not attached. Every ``every`` accesses — and on demand via
+:meth:`InvariantChecker.check_now` — it audits the whole cache. Apart
+from each engine's own ``check_integrity()``, every audit reads the
+engine-neutral snapshot ``cache.state()``
+(:class:`~repro.cache.state.EngineState`), so the classic and the vector
+engine are audited by the same code:
 
 ``set-integrity``
-    every set's recency list is a consistent doubly-linked list, its tag
-    index and per-core counts match a scan, and resident + free ways sum
-    to the associativity (delegates to ``CacheSet.check_integrity``);
+    the engine's private bookkeeping agrees with its resident blocks
+    (``cache.check_integrity()``: the classic engine's recency links, tag
+    index and per-core counts; the vector engine's valid-way counts,
+    PriSM residency counts and MRU hints), no set holds a tag twice, and
+    no set holds more than ``assoc`` blocks;
 ``occupancy-recount``
     the per-core ``C_i`` counters the analytical model reads equal a
-    full recount over every set;
+    full recount of the resident blocks' owners;
 ``occupancy-bounds``
     total occupancy never exceeds the cache's block count;
 ``distribution``
@@ -35,11 +40,12 @@ audits the whole cache:
     owner is a member of it (a hit can widen the mask but never detach
     the owner);
 ``cluster-conservation``
-    when the cache runs under a cluster map (``core_map``), every
-    resident block's filler maps to the block's accounting owner, and
-    per cluster the charged occupancy ``C_c`` equals the number of
-    blocks filled by that cluster's member cores — occupancy is
-    conserved across the core→cluster translation.
+    when the cache runs under a cluster map (``core_map``) and keeps
+    fillers (the classic engine; the vector engine translates core ids
+    at entry and keeps none), every resident block's filler is a real
+    core that maps to the block's accounting owner — with
+    ``occupancy-recount`` this conserves occupancy across the
+    core→cluster translation.
 
 Violations raise :class:`InvariantViolation` — a subclass of
 ``AssertionError``, so plain ``assert``-style handling works, but typed
@@ -50,6 +56,8 @@ skip pointless retries.
 from __future__ import annotations
 
 from typing import Optional, Tuple
+
+import numpy as np
 
 __all__ = ["InvariantChecker", "InvariantViolation", "attach_checker"]
 
@@ -73,7 +81,8 @@ class InvariantChecker:
     """Access monitor that audits a cache's internal consistency.
 
     Args:
-        cache: the :class:`~repro.cache.cache.SharedCache` to audit.
+        cache: the engine to audit (anything with ``state()`` and
+            ``check_integrity()``: the classic or the vector engine).
         every: run a full audit every this many observed accesses. Each
             audit is O(cache size), so the overhead knob is this period;
             ``1`` audits after every access (see ``docs/testing.md`` for
@@ -124,32 +133,17 @@ class InvariantChecker:
         """Audit everything once; raises :class:`InvariantViolation`."""
         self.checks_run += 1
         cache = self.cache
-
-        for cset in cache.sets:
-            try:
-                cset.check_integrity()
-            except AssertionError as exc:
-                raise InvariantViolation("set-integrity", str(exc)) from None
-
-        scanned = cache.scan_occupancy()
-        occupancy = list(cache.occupancy)
-        if scanned != occupancy:
-            raise InvariantViolation(
-                "occupancy-recount",
-                f"counters {occupancy} != recount {scanned}",
-            )
-        total = sum(occupancy)
-        num_blocks = cache.geometry.num_blocks
-        if not 0 <= total <= num_blocks:
-            raise InvariantViolation(
-                "occupancy-bounds",
-                f"{total} blocks resident in a {num_blocks}-block cache",
-            )
-
-        if getattr(cache, "track_sharers", False):
-            self._check_sharers()
-        if getattr(cache, "_core_map", None) is not None:
-            self._check_cluster_conservation()
+        try:
+            cache.check_integrity()
+        except AssertionError as exc:
+            raise InvariantViolation("set-integrity", str(exc)) from None
+        state = cache.state()
+        self._check_sets(state, cache.geometry.assoc)
+        self._check_occupancy(state, cache.geometry.num_blocks)
+        if state.sharers is not None:
+            self._check_sharers(state)
+        if state.filler is not None:
+            self._check_cluster_conservation(state)
 
         manager = getattr(cache.scheme, "manager", None)
         if manager is not None:
@@ -161,77 +155,92 @@ class InvariantChecker:
 
         system = self._system
         if system is not None and system.inclusive and system.l1s is not None:
-            self._check_inclusion(system)
+            self._check_inclusion(system, state)
 
-    def _check_inclusion(self, system) -> None:
-        cache = self.cache
-        geometry = cache.geometry
+    @staticmethod
+    def _check_sets(state, assoc: int) -> None:
+        sets, tags = state.set_index, state.tag
+        twice = np.flatnonzero((sets[1:] == sets[:-1]) & (tags[1:] == tags[:-1]))
+        if len(twice):
+            raise InvariantViolation("set-integrity", f"{_block(state, twice[0])} twice")
+        per_set = np.bincount(sets)
+        if len(per_set) and per_set.max() > assoc:
+            s = per_set.argmax()
+            raise InvariantViolation(
+                "set-integrity", f"set {s} holds {per_set[s]} blocks in {assoc} ways"
+            )
+
+    @staticmethod
+    def _check_occupancy(state, num_blocks: int) -> None:
+        owner = state.owner
+        stray = np.flatnonzero((owner < 0) | (owner >= state.num_cores))
+        if len(stray):
+            k = stray[0]
+            raise InvariantViolation(
+                "occupancy-recount",
+                f"{_block(state, k)} is charged to owner {owner[k]}, "
+                f"outside [0, {state.num_cores})",
+            )
+        recount = state.recount()
+        if recount != state.occupancy:
+            raise InvariantViolation(
+                "occupancy-recount", f"counters {state.occupancy} != recount {recount}"
+            )
+        total = sum(state.occupancy)
+        if not 0 <= total <= num_blocks:
+            raise InvariantViolation(
+                "occupancy-bounds",
+                f"{total} blocks resident in a {num_blocks}-block cache",
+            )
+
+    def _check_inclusion(self, system, state) -> None:
+        geometry = self.cache.geometry
+        shift = (geometry.num_sets - 1).bit_length()
+        resident = set(((state.tag << shift) | state.set_index).tolist())
         inflight = self._inflight
-        inflight_addr = (
-            geometry.block_addr(inflight[1], inflight[2])
-            if inflight is not None
-            else None
-        )
+        if inflight is not None:
+            inflight = (inflight[0], geometry.block_addr(inflight[1], inflight[2]))
         for core, l1 in enumerate(system.l1s):
             for addr in l1.resident_addrs():
-                if addr == inflight_addr and core == inflight[0]:
-                    continue
-                cset = cache.sets[geometry.set_index(addr)]
-                if cset.lookup(geometry.tag(addr)) is None:
+                if addr not in resident and (core, addr) != inflight:
                     raise InvariantViolation(
                         "inclusion",
                         f"core {core} holds block {addr:#x} in its L1 but the "
                         "block is not resident in the (inclusive) shared LLC",
                     )
 
-    def _check_sharers(self) -> None:
-        for cset in self.cache.sets:
-            for block in cset.blocks:
-                if block.sharers == 0:
-                    raise InvariantViolation(
-                        "sharer-consistency",
-                        f"resident block tag={block.tag:#x} in set "
-                        f"{cset.index} has an empty sharer set",
-                    )
-                if not (block.sharers >> block.core) & 1:
-                    raise InvariantViolation(
-                        "sharer-consistency",
-                        f"block tag={block.tag:#x} in set {cset.index}: "
-                        f"accounting owner {block.core} not in sharer mask "
-                        f"{block.sharers:#b}",
-                    )
+    @staticmethod
+    def _check_sharers(state) -> None:
+        sharers = state.sharers
+        owned = (sharers >> state.owner.astype(np.uint64)) & np.uint64(1)
+        bad = np.flatnonzero(owned == 0)  # an empty mask never holds the owner
+        if len(bad):
+            k = bad[0]
+            raise InvariantViolation(
+                "sharer-consistency",
+                f"{_block(state, k)}: accounting owner {state.owner[k]} not in "
+                f"sharer mask {int(sharers[k]):#b}",
+            )
 
-    def _check_cluster_conservation(self) -> None:
-        cache = self.cache
-        core_map = cache._core_map
-        real = cache.real_num_cores
-        per_core = [0] * real
-        for cset in cache.sets:
-            for block in cset.blocks:
-                filler = block.filler
-                if not 0 <= filler < real:
-                    raise InvariantViolation(
-                        "cluster-conservation",
-                        f"block tag={block.tag:#x} in set {cset.index} has "
-                        f"filler {filler}, outside [0, {real})",
-                    )
-                if core_map[filler] != block.core:
-                    raise InvariantViolation(
-                        "cluster-conservation",
-                        f"block tag={block.tag:#x} in set {cset.index}: "
-                        f"filler {filler} maps to cluster "
-                        f"{core_map[filler]} but is charged to {block.core}",
-                    )
-                per_core[filler] += 1
-        charged = [0] * cache.num_cores
-        for core, count in enumerate(per_core):
-            charged[core_map[core]] += count
-        occupancy = list(cache.occupancy)
-        if charged != occupancy:
+    @staticmethod
+    def _check_cluster_conservation(state) -> None:
+        filler = state.filler
+        real = state.real_num_cores
+        stray = np.flatnonzero((filler < 0) | (filler >= real))
+        if len(stray):
+            k = stray[0]
             raise InvariantViolation(
                 "cluster-conservation",
-                f"per-cluster fill recount {charged} != charged "
-                f"occupancy {occupancy}",
+                f"{_block(state, k)} has filler {filler[k]}, outside [0, {real})",
+            )
+        cluster = np.asarray(state.core_map, dtype=np.int64)[filler]
+        wrong = np.flatnonzero(cluster != state.owner)
+        if len(wrong):
+            k = wrong[0]
+            raise InvariantViolation(
+                "cluster-conservation",
+                f"{_block(state, k)}: filler {filler[k]} maps to cluster "
+                f"{cluster[k]} but is charged to {state.owner[k]}",
             )
 
     def _check_distribution(self, manager, num_cores: int) -> None:
@@ -282,6 +291,11 @@ class InvariantChecker:
             counters.append(shadow.shared_hits[core])
             counters.append(shadow.shared_misses[core])
         return tuple(counters)
+
+
+def _block(state, k) -> str:
+    """Name the ``k``-th block of a state view in a violation message."""
+    return f"block tag={state.tag[k]:#x} in set {state.set_index[k]}"
 
 
 def attach_checker(cache, every: int = 1024) -> InvariantChecker:

@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
+from repro.cache.state import EngineState
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -667,19 +668,13 @@ class RefPrism:
 # -- the cache ---------------------------------------------------------------
 
 
-class RefAccess:
+class RefAccess(NamedTuple):
     """Outcome of one reference access — field-compatible with AccessResult."""
 
-    __slots__ = ("hit", "set_index", "evicted_core", "evicted_addr")
-
-    def __init__(self, hit: bool, set_index: int, evicted_core: int, evicted_addr: int) -> None:
-        self.hit = hit
-        self.set_index = set_index
-        self.evicted_core = evicted_core
-        self.evicted_addr = evicted_addr
-
-    def as_tuple(self) -> tuple:
-        return (self.hit, self.set_index, self.evicted_core, self.evicted_addr)
+    hit: bool
+    set_index: int
+    evicted_core: int
+    evicted_addr: int
 
 
 class ReferenceCache:
@@ -743,33 +738,16 @@ class ReferenceCache:
     def interval_evictions(self) -> List[int]:
         return [e - b for e, b in zip(self.evictions, self._base_evictions)]
 
-    def scan_occupancy(self) -> List[int]:
-        counts = [0] * self.num_cores
-        for cset in self.sets:
-            for block in cset.blocks:
-                counts[block.core] += 1
-        return counts
-
-    def group_of(self, core: int) -> int:
-        """Accounting owner a real core's fills are charged to."""
-        return self.core_map[core] if self.core_map is not None else core
-
-    def scan_charges(self) -> List[int]:
-        """Per-real-core block charges, recounted from block fillers."""
-        counts = [0] * self.real_num_cores
-        for cset in self.sets:
-            for block in cset.blocks:
-                counts[block.filler] += 1
-        return counts
-
-    def scan_sharers(self) -> List[tuple]:
-        """Sorted ``(set, tag, owner, sharers)`` rows, engine-comparable."""
-        rows = []
-        for cset in self.sets:
-            for block in cset.blocks:
-                rows.append((cset.index, block.tag, block.core, block.sharers))
-        rows.sort()
-        return rows
+    def state(self) -> EngineState:
+        """Every resident block as an engine-comparable :class:`EngineState`."""
+        rows = [(cset.index, block) for cset in self.sets for block in cset.blocks]
+        blocks = [block for _, block in rows]
+        return EngineState.of(
+            self, [index for index, _ in rows], [b.tag for b in blocks],
+            [b.core for b in blocks],
+            filler=[b.filler for b in blocks] if self.core_map is not None else None,
+            sharers=[b.sharers for b in blocks] if self.track_sharers else None,
+        )
 
     # -- the access path ---------------------------------------------------
 

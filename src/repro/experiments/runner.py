@@ -25,7 +25,6 @@ per-interval trace in ``result.telemetry``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -207,18 +206,11 @@ def standalone_ipcs(
 def _build_run_cache(geometry, num_cores, policy, scheme_obj, backend, check, **kwargs):
     """Build a run's shared cache, plus its invariant checker if ``check``.
 
-    The checker audits the classic object model (it walks ``CacheSet``
-    lists), so a checked run always uses the classic engine. Returns
-    ``(cache, checker)``; ``checker`` is ``None`` for unchecked runs.
+    The one place a run's checker is attached. The checker audits the
+    engine-neutral ``cache.state()`` view, so it audits whichever engine
+    ``backend`` selects. Returns ``(cache, checker)``; ``checker`` is
+    ``None`` for unchecked runs.
     """
-    if check and backend != "classic":
-        warnings.warn(
-            "check=True audits the classic engine; ignoring backend="
-            f"{backend!r} for this run",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        backend = "classic"
     cache, _ = build_cache(
         geometry, num_cores, policy=policy, scheme=scheme_obj, backend=backend,
         **kwargs,
@@ -269,6 +261,7 @@ def _run_belady(
     seed: int,
     instructions: int,
     check: bool,
+    backend: Optional[str],
 ) -> WorkloadResult:
     """The ``scheme="belady"`` path of :func:`run_workload`.
 
@@ -276,20 +269,17 @@ def _run_belady(
     ``record_trace=True`` to capture the post-L1 (LLC-visible) access
     stream; (2) replay that stream through the offline Belady/MIN cache;
     (3) reconstruct per-core timing in trace order
-    (:func:`repro.check.belady.belady_workload_run`). With ``check=True``
-    the recording run carries the invariant checker (including the
-    inclusion invariant when the machine has an inclusive L1).
+    (:func:`repro.check.belady.belady_workload_run`). The recording run
+    uses ``backend``; with ``check=True`` it carries the invariant checker
+    (including the inclusion invariant when the machine has an inclusive
+    L1).
     """
-    from repro.cache.cache import SharedCache
     from repro.cache.replacement.lru import LRUPolicy
     from repro.check.belady import belady_workload_run
 
-    rec_cache = SharedCache(config.geometry, config.num_cores, policy=LRUPolicy())
-    checker = None
-    if check:
-        from repro.check.invariants import attach_checker
-
-        checker = attach_checker(rec_cache)
+    rec_cache, checker = _build_run_cache(
+        config.geometry, config.num_cores, LRUPolicy(), None, backend, check
+    )
     system = MultiCoreSystem(
         rec_cache,
         profiles,
@@ -428,7 +418,7 @@ def run_workload(
         # timing. Telemetry is not recorded on this path (there are no
         # allocation intervals to sample).
         return _run_belady(
-            label, profiles, config, sp_ipcs, seed, instructions, check
+            label, profiles, config, sp_ipcs, seed, instructions, check, backend
         )
 
     scheme_obj, policy = build_scheme(

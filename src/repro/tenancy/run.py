@@ -39,10 +39,10 @@ from the replay outputs: each chunk's hit mask is binned by the
 original core ids before translation, so per-core hit/miss totals are
 exact, not estimates.
 
-``check=True`` forces the classic engine (the invariant checker walks
-its object model) and turns on sharer-bitmask tracking, so the
-``sharer-consistency`` invariant (and ``cluster-conservation`` under a
-``core_map``) is audited with the original catalogue.
+``check=True`` attaches the invariant checker to whichever engine
+``backend`` selects and turns on sharer-bitmask tracking, so the
+``sharer-consistency`` invariant (and, on the classic engine, which keeps
+fillers, ``cluster-conservation`` under a ``core_map``) is audited too.
 
 Interval cadence: scheme runs use the engines' natural miss-driven
 interval machinery. Unmanaged (scheme-less) runs never fire intervals,

@@ -73,7 +73,7 @@ class TestOccupancyAccounting:
         rng = make_rng(7, "churn")
         for _ in range(5000):
             tiny_cache.access(rng.randrange(2), rng.randrange(500))
-        assert tiny_cache.occupancy == tiny_cache.scan_occupancy()
+        assert tiny_cache.occupancy == tiny_cache.state().recount()
         assert sum(tiny_cache.occupancy) <= tiny_cache.geometry.num_blocks
 
     def test_occupancy_fractions_sum_to_one_when_warm(self, tiny_cache):

@@ -6,8 +6,8 @@ tests drive randomized access streams through every (policy, scheme)
 pairing the experiments use and then verify the invariants the fast paths
 rely on:
 
-- ``scan_occupancy() == occupancy`` — the incremental per-core occupancy
-  counters agree with a full scan of every set;
+- ``state().recount() == occupancy`` — the incremental per-core occupancy
+  counters agree with a recount of every resident block;
 - :meth:`CacheSet.check_integrity` — forward/backward link order agree,
   the tag index maps every resident block, no ways leak, and the per-set
   ``_core_counts`` match a recount.
@@ -57,11 +57,10 @@ def _drive(cache: SharedCache, seed: int, accesses: int = ACCESSES) -> SharedCac
 
 
 def _assert_invariants(cache: SharedCache) -> None:
-    assert cache.scan_occupancy() == cache.occupancy
+    assert cache.state().recount() == cache.occupancy
     assert cache.valid_blocks() == sum(cache.occupancy)
     assert cache.valid_blocks() <= cache.geometry.num_blocks
-    for cset in cache.sets:
-        cset.check_integrity()
+    cache.check_integrity()
 
 
 @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)

@@ -149,5 +149,5 @@ class TestPLRUUnderPriSM:
             cache.access(0, rng.randrange(300))
             cache.access(1, rng.randrange(600))
         assert sum(cache.occupancy) <= geometry.num_blocks
-        assert cache.scan_occupancy() == list(cache.occupancy)
+        assert cache.state().recount() == list(cache.occupancy)
         assert cache.intervals_completed > 0

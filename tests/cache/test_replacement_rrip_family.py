@@ -93,5 +93,5 @@ class TestDRRIP:
         for _ in range(10000):
             core = rng.randrange(2)
             cache.access(core, (core << 20) + rng.randrange(800))
-        assert cache.occupancy == cache.scan_occupancy()
+        assert cache.occupancy == cache.state().recount()
         assert sum(cache.scheme.manager.probabilities) == pytest.approx(1.0)

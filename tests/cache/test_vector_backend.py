@@ -67,7 +67,7 @@ def _assert_equivalent(classic, vector, kind):
     assert classic.stats.misses == vector.stats.misses
     assert classic.stats.evictions == vector.stats.evictions
     assert classic.occupancy == vector.occupancy
-    assert vector.occupancy == vector.scan_occupancy()
+    assert vector.occupancy == vector.state().recount()
     assert classic.intervals_completed == vector.intervals_completed
     if classic.scheme is not None:
         ma, mb = classic.scheme.manager, vector.scheme.manager
@@ -172,6 +172,32 @@ def test_vector_scalar_access_matches_batch():
     _assert_equivalent(one_by_one, batched, "prism")
 
 
+@pytest.mark.parametrize("kind", ["lru", "prism"])
+def test_per_access_monitor_sees_the_classic_sequence(kind):
+    """A per-access monitor is driven, access for access, like classic."""
+
+    class Recorder:
+        def __init__(self):
+            self.seen = []
+
+        def observe(self, core, set_index, tag, hit):
+            self.seen.append((core, set_index, tag, hit))
+
+    stream = _stream(GEO_S, 11, 3000)
+    cores, addrs = zip(*stream)
+    seen = {}
+    for backend in ("classic", "vector"):
+        cache = _build(kind, GEO_S, backend, chunk=64)
+        recorder = Recorder()
+        cache.add_monitor(recorder)
+        cache.access_many(cores[:1000], addrs[:1000])
+        for core, addr in stream[1000:]:
+            cache.access(core, addr)
+        seen[backend] = recorder.seen
+    assert len(seen["vector"]) == len(stream)
+    assert seen["vector"] == seen["classic"]
+
+
 class TestBatchResults:
     def _results(self):
         stream = _stream(GEO_S, 21, 400)
@@ -210,16 +236,6 @@ class TestVectorUnsupported:
     def test_rejects_non_prism_scheme(self):
         with pytest.raises(VectorUnsupported):
             VectorCache(GEO_S, NUM_CORES, scheme=UnmanagedScheme())
-
-    def test_rejects_per_access_monitor(self):
-        cache = VectorCache(GEO_S, NUM_CORES)
-
-        class PerAccessMonitor:
-            def observe(self, result):  # pragma: no cover - never called
-                pass
-
-        with pytest.raises(VectorUnsupported):
-            cache.add_monitor(PerAccessMonitor())
 
     def test_unsupported_is_a_value_error(self):
         # build_cache's fallback contract: construction failure must be

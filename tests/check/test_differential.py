@@ -14,6 +14,8 @@ from repro.check.differential import (
     DifferentialCase,
     _build_engine,
     _build_vector_engine,
+    _compare,
+    _replay_oracle,
     compare_batched,
     compare_run,
     fuzz,
@@ -105,6 +107,39 @@ def test_oracle_detects_injected_bug():
     assert divergences[0].index >= 0  # caught during the replay, not post-hoc
 
 
+@pytest.mark.parametrize("backend", ["classic", "vector"])
+def test_shifted_interval_countdown_diverges(backend):
+    """Firing every boundary one miss late must not slip through."""
+    case = DifferentialCase(scheme="prism-h", seed=7, accesses=1500,
+                            scheme_kwargs={"seed": 1})
+    reference = build_reference(case.scheme, case.num_cores, case.geometry,
+                                scheme_kwargs=case.scheme_kwargs)
+    build = _build_engine if backend == "classic" else _build_vector_engine
+    engine = build(case, None, None)
+    engine._interval_left += 1
+    compare = compare_run if backend == "classic" else compare_batched
+    divergences = compare(engine, reference, make_stream(case))
+    assert divergences, "a boundary fired at the wrong access went unnoticed"
+    assert divergences[0].index >= 0
+
+
+def test_boundary_access_index_is_compared():
+    """Same E/T at the wrong access is still a divergence."""
+    case = DifferentialCase(scheme="prism-h", seed=7, accesses=1500,
+                            scheme_kwargs={"seed": 1})
+    stream = make_stream(case)
+    engine = _build_engine(case, None, None)
+    reference = build_reference(case.scheme, case.num_cores, case.geometry,
+                                scheme_kwargs=case.scheme_kwargs)
+    tuples, bounds = _replay_oracle(engine, stream)
+    oracle_run = _replay_oracle(reference, stream)
+    assert _compare((tuples, bounds), oracle_run, engine, reference) == []
+    late = [(bounds[0][0] + 1,) + bounds[0][1:]] + bounds[1:]
+    divergences = _compare((tuples, late), oracle_run, engine, reference)
+    assert [d.what for d in divergences] == ["boundary access@interval1"]
+    assert divergences[0].index == bounds[0][0]
+
+
 def test_sane_case_is_clean_before_sabotage():
     """Companion to the sabotage test: same case, untouched engine, clean."""
     case = DifferentialCase(scheme="prism-h", seed=7, accesses=1500,
@@ -149,7 +184,8 @@ class TestSharingAxes:
         engine's hot-path tuple, so fills stop seeding and hits stop
         OR-ing sharer bits — while ``cache.track_sharers`` (the compare
         gate) stays on. The oracle keeps proper sharer sets, so the
-        end-state sharers audit must report the divergence.
+        end-state comparison of the resident contents (whose rows carry
+        each block's sharer mask) must report the divergence.
         """
         case = DifferentialCase(
             scheme="lru", num_cores=4, seed=7, accesses=1500,
@@ -164,7 +200,7 @@ class TestSharingAxes:
         cache._hot = cache._hot[:-1] + (False,)
         divergences = compare_run(cache, reference, make_stream(case))
         assert divergences, "oracle failed to notice dropped sharer accounting"
-        assert any(d.what == "sharers" for d in divergences)
+        assert any(d.what == "resident" for d in divergences)
 
     def test_sharer_case_is_clean_before_sabotage(self):
         case = DifferentialCase(

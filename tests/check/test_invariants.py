@@ -3,13 +3,20 @@
 Each invariant in the checker's catalogue gets a targeted sabotage test —
 the checker is only worth its overhead if a genuinely corrupted engine
 state cannot slip past it — plus wiring tests for ``run_workload(check=)``
-and the campaign executor's non-retryable handling.
+and the campaign executor's non-retryable handling. The sabotage classes
+run once per engine: the ``*Vector`` subclasses re-run every inherited
+test on the vector engine, each engine corrupting its own private
+bookkeeping where the audit is engine-specific.
 """
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.cache.cache import SharedCache
 from repro.cache.geometry import CacheGeometry
+from repro.cache.vector import VectorCache
 from repro.check.invariants import InvariantChecker, InvariantViolation, attach_checker
 from repro.experiments.configs import machine
 from repro.experiments.parallel import RunSpec
@@ -21,13 +28,29 @@ GEOMETRY = CacheGeometry(8 << 10, 64, 8)  # 128 blocks, 16 sets
 NUM_CORES = 4
 
 
-def checked_cache(every=1):
+ENGINES = {"classic": SharedCache, "vector": VectorCache}
+
+
+def checked_cache(every=1, engine="classic"):
     scheme, policy = build_scheme("prism-h", NUM_CORES, None,
                                   interval_len=64, sample_shift=1, seed=2)
-    cache = SharedCache(GEOMETRY, NUM_CORES, policy=policy)
-    cache.set_scheme(scheme)
+    cache = ENGINES[engine](GEOMETRY, NUM_CORES, policy=policy, scheme=scheme)
     checker = attach_checker(cache, every=every)
     return cache, checker
+
+
+def resident_way(cache):
+    """``(set, way)`` of one resident block of a vector cache."""
+    s = int(np.flatnonzero(cache._nvalid)[0])
+    return s, 0
+
+
+def corrupt_core_counts(cache):
+    """Skew one engine-private per-set residency count."""
+    if isinstance(cache, VectorCache):
+        cache._counts[resident_way(cache)[0], 0] += 1
+    else:
+        cache.sets[0]._core_counts[0] += 1
 
 
 def drive(cache, accesses=600, seed=0):
@@ -37,24 +60,38 @@ def drive(cache, accesses=600, seed=0):
 
 
 class TestChecker:
+    engine = "classic"
+
+    def checked(self, every=1):
+        return checked_cache(every, self.engine)
+
     def test_rejects_nonpositive_period(self):
-        cache, _ = checked_cache()
+        cache, _ = self.checked()
         with pytest.raises(ValueError, match="every"):
             InvariantChecker(cache, every=0)
 
     def test_clean_run_passes(self):
-        cache, checker = checked_cache(every=1)
+        cache, checker = self.checked(every=1)
         drive(cache, accesses=600)
         assert checker.checks_run == 600  # every access audited
         assert cache.intervals_completed > 0  # boundaries were crossed too
 
     def test_period_throttles_audits(self):
-        cache, checker = checked_cache(every=100)
+        cache, checker = self.checked(every=100)
         drive(cache, accesses=250)
         assert checker.checks_run == 2
 
+    def test_batches_are_audited_per_access(self):
+        cache, checker = self.checked(every=100)
+        rng = make_rng(0, "invariant-test-stream")
+        cache.access_many(
+            [rng.randrange(NUM_CORES) for _ in range(250)],
+            [rng.getrandbits(16) for _ in range(250)],
+        )
+        assert checker.checks_run == 2
+
     def test_catches_occupancy_counter_drift(self):
-        cache, checker = checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
         cache.occupancy[0] += 1
         with pytest.raises(InvariantViolation) as excinfo:
@@ -62,15 +99,15 @@ class TestChecker:
         assert excinfo.value.invariant == "occupancy-recount"
 
     def test_catches_set_corruption(self):
-        cache, checker = checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
-        cache.sets[0]._core_counts[0] += 1
+        corrupt_core_counts(cache)
         with pytest.raises(InvariantViolation) as excinfo:
             checker.check_now()
         assert excinfo.value.invariant == "set-integrity"
 
     def test_catches_negative_probability(self):
-        cache, checker = checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
         manager = cache.scheme.manager
         manager.probabilities[0] -= 2.0  # bypasses set_distribution validation
@@ -79,7 +116,7 @@ class TestChecker:
         assert excinfo.value.invariant == "distribution"
 
     def test_catches_unnormalised_distribution(self):
-        cache, checker = checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
         cache.scheme.manager.probabilities[0] += 0.5
         with pytest.raises(InvariantViolation) as excinfo:
@@ -87,7 +124,7 @@ class TestChecker:
         assert excinfo.value.invariant == "distribution"
 
     def test_catches_unpinned_cumulative(self):
-        cache, checker = checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
         cache.scheme.manager._cumulative[-1] = 0.999
         with pytest.raises(InvariantViolation) as excinfo:
@@ -95,7 +132,7 @@ class TestChecker:
         assert excinfo.value.invariant == "cumulative"
 
     def test_catches_shadow_counter_regression(self):
-        cache, checker = checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
         checker.check_now()  # establish the monotonicity floor
         cache.scheme.shadow.shadow_misses[0] -= 1
@@ -110,14 +147,46 @@ class TestChecker:
         assert "occupancy-bounds" in str(error) and "129" in str(error)
 
 
-def shared_checked_cache(every=1):
+class TestCheckerVector(TestChecker):
+    """Every TestChecker audit again, on the vector engine."""
+
+    engine = "vector"
+
+    def test_catches_valid_way_count_drift(self):
+        cache, checker = self.checked()
+        drive(cache, accesses=200)
+        cache._nvalid[resident_way(cache)[0]] -= 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check_now()
+        assert excinfo.value.invariant == "set-integrity"
+
+    def test_catches_duplicated_tag(self):
+        cache, checker = self.checked()
+        drive(cache, accesses=600)
+        s = int(np.flatnonzero(cache._nvalid >= 2)[0])
+        cache._tags[s, 1] = cache._tags[s, 0]
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check_now()
+        assert excinfo.value.invariant == "set-integrity"
+        assert "twice" in str(excinfo.value)
+
+    def test_catches_stale_mru_hint(self):
+        cache, checker = self.checked()
+        drive(cache, accesses=200)
+        s = resident_way(cache)[0]
+        cache._mru_tag[s] = cache._tags.max() + 1  # resident nowhere
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check_now()
+        assert excinfo.value.invariant == "set-integrity"
+
+
+def shared_checked_cache(every=1, engine="classic"):
     """4 real cores mapped onto 2 clusters, with sharer tracking on."""
     core_map = (0, 1, 0, 1)
     scheme, policy = build_scheme("prism-h", 2, None,
                                   interval_len=64, sample_shift=1, seed=2)
-    cache = SharedCache(GEOMETRY, 2, policy=policy,
-                        core_map=core_map, track_sharers=True)
-    cache.set_scheme(scheme)
+    cache = ENGINES[engine](GEOMETRY, 2, policy=policy, scheme=scheme,
+                            core_map=core_map, track_sharers=True)
     checker = attach_checker(cache, every=every)
     return cache, checker
 
@@ -129,34 +198,50 @@ def first_block(cache):
     raise AssertionError("cache is empty")
 
 
+def set_first_sharers(cache, mask_of):
+    """Overwrite one resident block's sharer mask with ``mask_of(owner)``."""
+    if isinstance(cache, VectorCache):
+        s, w = resident_way(cache)
+        if cache._sharers is not None:  # untracked: nothing to corrupt
+            cache._sharers[s, w] = mask_of(int(cache._owners[s, w]))
+    else:
+        block = first_block(cache)
+        block.sharers = mask_of(block.core)
+
+
 class TestSharingInvariants:
     """sharer-consistency and cluster-conservation sabotage coverage."""
 
+    engine = "classic"
+
+    def checked(self, every=1):
+        return shared_checked_cache(every, self.engine)
+
     def test_clean_clustered_run_passes(self):
-        cache, checker = shared_checked_cache(every=1)
+        cache, checker = self.checked(every=1)
         drive(cache, accesses=600)  # real core ids 0..3, translated inside
         assert checker.checks_run == 600
         checker.check_now()
 
     def test_catches_empty_sharer_set(self):
-        cache, checker = shared_checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
-        first_block(cache).sharers = 0
+        set_first_sharers(cache, lambda owner: 0)
         with pytest.raises(InvariantViolation) as excinfo:
             checker.check_now()
         assert excinfo.value.invariant == "sharer-consistency"
 
     def test_catches_owner_missing_from_sharer_mask(self):
-        cache, checker = shared_checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
-        block = first_block(cache)
-        block.sharers = 1 << (1 - block.core)  # some bit, not the owner's
+        # some bit, not the owner's
+        set_first_sharers(cache, lambda owner: 1 << (1 - owner))
         with pytest.raises(InvariantViolation) as excinfo:
             checker.check_now()
         assert excinfo.value.invariant == "sharer-consistency"
 
     def test_catches_out_of_range_filler(self):
-        cache, checker = shared_checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
         first_block(cache).filler = 9  # only real cores 0..3 exist
         with pytest.raises(InvariantViolation) as excinfo:
@@ -164,7 +249,7 @@ class TestSharingInvariants:
         assert excinfo.value.invariant == "cluster-conservation"
 
     def test_catches_filler_charged_to_wrong_cluster(self):
-        cache, checker = shared_checked_cache()
+        cache, checker = self.checked()
         drive(cache, accesses=200)
         block = first_block(cache)
         # Cores 0/2 map to cluster 0, cores 1/3 to cluster 1: claim a
@@ -176,10 +261,24 @@ class TestSharingInvariants:
 
     def test_plain_cache_skips_the_sharing_audits(self):
         """No sharer tracking, no cluster map -> the new checks are off."""
-        cache, checker = checked_cache()
+        cache, checker = checked_cache(engine=self.engine)
         drive(cache, accesses=200)
-        first_block(cache).sharers = 0  # untracked garbage must not trip
+        set_first_sharers(cache, lambda owner: 0)  # untracked garbage
         checker.check_now()
+
+
+class TestSharingInvariantsVector(TestSharingInvariants):
+    """The sharer audits again on the vector engine, which keeps no fillers."""
+
+    engine = "vector"
+    test_catches_out_of_range_filler = None
+    test_catches_filler_charged_to_wrong_cluster = None
+
+    def test_view_has_no_fillers(self):
+        cache, checker = self.checked()
+        drive(cache, accesses=200)
+        assert cache.state().filler is None
+        assert cache.state().charges() is None
 
 
 class TestInclusionInvariant:
@@ -282,6 +381,39 @@ class TestRunnerWiring:
         result = run_workload("Q1", config, "belady", seed=3, check=True)
         assert result.scheme == "belady"
         assert result.intervals == 0
+
+    def test_belady_recording_run_honours_backend(self):
+        config = machine(4, instructions=20_000, l1="inclusive")
+        classic = run_workload("Q1", config, "belady")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no fallback
+            vector = run_workload("Q1", config, "belady", backend="vector")
+            checked = run_workload("Q1", config, "belady", backend="vector",
+                                   check=True)
+        assert vector == classic
+        assert checked == classic
+
+    @pytest.mark.parametrize("mix, l1", [("Q1", "inclusive"),
+                                         ("shared:smoke4", None)])
+    def test_checked_vector_run_audits_the_vector_engine(self, mix, l1,
+                                                          monkeypatch):
+        from repro.check import invariants
+
+        audited = []
+        attach = invariants.attach_checker
+
+        def recording_attach(cache, every=1024):
+            audited.append(type(cache).__name__)
+            return attach(cache, every)
+
+        monkeypatch.setattr(invariants, "attach_checker", recording_attach)
+        config = machine(4, instructions=20_000, l1=l1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_workload(mix, config, "prism-h", seed=3, check=True,
+                                  backend="vector")
+        assert audited == ["VectorCache"]
+        assert result == run_workload(mix, config, "prism-h", seed=3)
 
 
 class TestCampaignWiring:

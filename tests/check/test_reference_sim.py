@@ -84,7 +84,7 @@ def test_reference_runs_standalone():
     hits = 0
     for i in range(2000):
         hits += reference.access(i % 2, (i * 13) % 257 * 64).hit
-    assert reference.occupancy == reference.scan_occupancy()
+    assert reference.occupancy == reference.state().recount()
     assert sum(reference.occupancy) <= geometry.num_blocks
     assert sum(reference.hits) == hits
     assert reference.intervals_completed > 0

@@ -15,6 +15,8 @@ the matrix certifies that
   16-core scale-out smoke digest.
 """
 
+import warnings
+
 import pytest
 
 from repro.campaign.fingerprint import spec_fingerprint
@@ -90,13 +92,18 @@ class TestRunSharedWorkload:
         with pytest.raises(ValueError, match="clusters"):
             run_workload("tenants:smoke4", CFG, "lru", clusters=2)
 
-    def test_check_forces_classic_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="check=True audits the classic"):
-            result = run_shared_workload(
-                get_shared_workload("smoke4"), CFG, "prism-h", seed=1,
-                backend="vector", check=True, clusters=2,
+    def test_checked_vector_run_equals_checked_classic(self):
+        source = get_shared_workload("smoke4")
+        classic = run_shared_workload(
+            source, CFG, "prism-h", seed=1, check=True, clusters=2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vector = run_shared_workload(
+                source, CFG, "prism-h", seed=1, backend="vector", check=True,
+                clusters=2,
             )
-        assert result.antt > 0
+        assert vector == classic
 
     def test_clustering_changes_managed_runs(self):
         """A managed scheme at cluster granularity is a different run."""

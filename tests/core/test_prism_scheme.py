@@ -127,7 +127,7 @@ class TestControlLoop:
         cache = SharedCache(geometry, 3)
         cache.set_scheme(PrismScheme(HitMaxPolicy(), interval_len=100))
         drive(cache, 3, 30000, footprints=[150, 800, 4000])
-        assert cache.occupancy == cache.scan_occupancy()
+        assert cache.occupancy == cache.state().recount()
 
 
 class TestPolicyAgnosticism:
@@ -139,7 +139,7 @@ class TestPolicyAgnosticism:
         fractions = cache.occupancy_fractions()
         # Control converges regardless of the baseline policy.
         assert fractions[0] == pytest.approx(0.7, abs=0.1)
-        assert cache.occupancy == cache.scan_occupancy()
+        assert cache.occupancy == cache.state().recount()
 
 
 class TestReporting:

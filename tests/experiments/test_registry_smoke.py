@@ -45,7 +45,7 @@ class ConservationMonitor:
     def end_interval(self):
         self.boundaries += 1
         cache = self.cache
-        assert cache.occupancy == cache.scan_occupancy()
+        assert cache.occupancy == cache.state().recount()
         assert 0 <= sum(cache.occupancy) <= cache.geometry.num_blocks
 
 
@@ -77,7 +77,7 @@ def test_scheme_completes_and_conserves_occupancy(name):
             addr = rng.getrandbits(14)
         cache.access(core, addr)
 
-    assert cache.occupancy == cache.scan_occupancy()
+    assert cache.occupancy == cache.state().recount()
     assert 0 < sum(cache.occupancy) <= GEOMETRY.num_blocks
     stats = cache.stats
     assert sum(stats.hits) + sum(stats.misses) == 4000

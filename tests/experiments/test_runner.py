@@ -98,25 +98,33 @@ class TestRunWorkload:
         b = run_workload("Q1", CFG, "prism-h", seed=3)
         assert a == b
 
-    def test_explicit_default_values_beat_options(self):
+    def test_explicit_default_values_beat_options(self, monkeypatch):
         """Arguments equal to their old defaults still override options."""
+        from repro.check import invariants
+
         explicit = run_workload("Q1", CFG, "prism-h", seed=0)
         merged = run_workload(
             "Q1", CFG, "prism-h", seed=0, options=RunOptions(seed=5)
         )
         assert merged == explicit
         with warnings.catch_warnings():
-            # options' check=True would force classic with a warning, and
-            # options' vector backend cannot represent UCP (another one).
+            # options' vector backend cannot represent UCP (a fallback
+            # warning), so the explicit classic backend must win.
             warnings.simplefilter("error", RuntimeWarning)
-            run_workload(
-                "Q1", CFG, "dip", backend="vector", check=False,
-                options=RunOptions(check=True),
-            )
             run_workload(
                 "Q1", CFG, "ucp", backend="classic",
                 options=RunOptions(backend="vector"),
             )
+
+        def no_checker(cache, every=1024):
+            raise AssertionError("explicit check=False attached a checker")
+
+        # options' check=True would attach the checker.
+        monkeypatch.setattr(invariants, "attach_checker", no_checker)
+        run_workload(
+            "Q1", CFG, "dip", backend="vector", check=False,
+            options=RunOptions(check=True),
+        )
 
     def test_options_telemetry(self):
         result = run_workload(
@@ -207,11 +215,13 @@ class TestBackendSelection:
         )
         assert via_options.antt == explicit.antt
 
-    def test_check_forces_classic(self):
-        """The invariant checker walks classic CacheSet lists; check wins."""
-        with pytest.warns(RuntimeWarning, match="check=True audits the classic"):
-            result = run_workload("Q1", CFG, "lru", backend="vector", check=True)
-        assert result.antt > 0
+    def test_checked_vector_run_equals_checked_classic(self):
+        """--check audits the vector engine itself: no fallback, same run."""
+        classic = run_workload("Q1", CFG, "lru", check=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vector = run_workload("Q1", CFG, "lru", backend="vector", check=True)
+        assert vector == classic
 
     def test_unsupported_scheme_falls_back_loudly(self):
         """UCP is not vectorisable: classic fallback plus a RuntimeWarning."""

@@ -80,7 +80,7 @@ def test_stack_invariants(scheme_name, stream):
 
     # Occupancy conservation: counters match a full scan and never exceed
     # the cache; per-set the lookup dict matches the recency list.
-    assert cache.occupancy == cache.scan_occupancy()
+    assert cache.occupancy == cache.state().recount()
     assert sum(cache.occupancy) <= cache.geometry.num_blocks
     for cset in cache.sets:
         assert len(cset.blocks) <= cset.assoc
@@ -158,6 +158,6 @@ def test_prism_agnostic_to_policy(policy_cls, stream):
     cache.set_scheme(PrismScheme(HitMaxPolicy(), interval_len=64, sample_shift=1))
     for core, addr in stream:
         cache.access(core, (core << 20) + addr)
-    assert cache.occupancy == cache.scan_occupancy()
+    assert cache.occupancy == cache.state().recount()
     probs = cache.scheme.manager.probabilities
     assert sum(probs) == pytest.approx(1.0)

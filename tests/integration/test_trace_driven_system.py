@@ -51,7 +51,7 @@ class TestTraceDrivenRuns:
         system, cache = build_system(scheme, traces, profiles)
         system.run(50_000)
         assert cache.intervals_completed > 0
-        assert cache.occupancy == cache.scan_occupancy()
+        assert cache.occupancy == cache.state().recount()
         # Hit-max starves the streamer here too.
         assert cache.occupancy[0] > cache.occupancy[1]
 

@@ -91,5 +91,5 @@ class TestEndToEnd:
         for _ in range(10000):
             core = rng.randrange(2)
             cache.access(core, (core << 20) + rng.randrange(800))
-        assert cache.occupancy == cache.scan_occupancy()
+        assert cache.occupancy == cache.state().recount()
         assert cache.stats.total_hits() > 0

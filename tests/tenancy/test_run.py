@@ -1,6 +1,7 @@
 """Tests for the multi-tenant replay driver."""
 
 import math
+import warnings
 
 import pytest
 
@@ -78,12 +79,17 @@ class TestRunTenantWorkload:
         quiet = run_tenant_workload("tenants:smoke4", CFG, "prism-h", seed=1)
         assert quiet.telemetry is None
 
-    def test_check_forces_classic_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="check=True audits the classic"):
-            result = run_tenant_workload(
-                "tenants:smoke4", CFG, "lru", seed=1, backend="vector", check=True
+    def test_checked_vector_run_equals_checked_classic(self):
+        classic = run_tenant_workload(
+            "tenants:smoke4", CFG, "prism-h", seed=1, check=True
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vector = run_tenant_workload(
+                "tenants:smoke4", CFG, "prism-h", seed=1, backend="vector",
+                check=True,
             )
-        assert result.antt > 0
+        assert vector == classic
 
     def test_dispatches_through_run_workload(self):
         """The runner's mix seam routes tenant refs to this driver."""
