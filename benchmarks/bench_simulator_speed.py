@@ -10,7 +10,8 @@ Also runnable directly (no pytest-benchmark needed)::
     PYTHONPATH=src python benchmarks/bench_simulator_speed.py
 
 which times every scenario best-of-N (``time.perf_counter``, one untimed
-warm-up round first), runs the classic and vector backends side by side
+warm-up round first), times the workload streams' bulk ``take`` against
+per-call ``next_access()``, runs the classic and vector backends side by side
 on the wide backend-comparison scenarios with their speedup ratio, and
 *appends* a run entry (keyed by git SHA) to ``BENCH_speed.json`` — the
 trajectory artifact CI archives so hot-path throughput accumulates per
@@ -270,6 +271,49 @@ def run_standalone(accesses: int = 100_000, rounds: int = 3) -> dict:
     return results
 
 
+def run_streams(accesses: int = 100_000, rounds: int = 3) -> dict:
+    """Accesses/second of the Q1 profiles' access streams, drawn in
+    chunks by ``take`` (as ``MultiCoreSystem.run`` reads them) and one
+    ``next_access()`` call at a time.
+
+    Both draw the same sequence. The row keeps the stream layer measured
+    on its own: the end-to-end tracer times ``next_access``, which the
+    paper path no longer calls.
+    """
+    from repro.cpu.system import _CHUNK
+    from repro.workloads.mixes import get_mix
+    from repro.workloads.spec import get_profile
+
+    profiles = [get_profile(name) for name in get_mix("Q1")]
+    chunks = max(1, accesses // _CHUNK)
+    per_profile = chunks * _CHUNK
+
+    def bulk():
+        for profile in profiles:
+            take = profile.stream(seed=1).take
+            for _ in range(chunks):
+                take(_CHUNK)
+
+    def per_call():
+        for profile in profiles:
+            next_access = profile.stream(seed=1).next_access
+            for _ in range(per_profile):
+                next_access()
+
+    total = per_profile * len(profiles)
+    take_s = _best_of(bulk, rounds)
+    call_s = _best_of(per_call, rounds)
+    return {
+        "profiles": [p.name for p in profiles],
+        "accesses": total,
+        "rounds": rounds,
+        "chunk": _CHUNK,
+        "take_aps": round(total / take_s, 1),
+        "next_access_aps": round(total / call_s, 1),
+        "speedup": round(call_s / take_s, 2),
+    }
+
+
 def _git_sha() -> str:
     import subprocess
 
@@ -343,6 +387,11 @@ def main(argv=None) -> int:
     for name, row in classic_only.items():
         print(f"{name:>16}: {row['accesses_per_sec']:>12,.0f} accesses/sec")
 
+    streams = run_streams(accesses=args.accesses, rounds=args.rounds)
+    print(f"\nstreams (Q1 profiles, accesses/sec): take({streams['chunk']}) "
+          f"{streams['take_aps']:,.0f}, next_access() "
+          f"{streams['next_access_aps']:,.0f} ({streams['speedup']:.2f}x)")
+
     backends = {}
     failures = []
     if not args.skip_backends:
@@ -366,6 +415,7 @@ def main(argv=None) -> int:
         "sha": _git_sha(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "scenarios": classic_only,
+        "streams": streams,
         "backends": backends,
     }
     doc = _append_trajectory(args.output, entry)

@@ -26,16 +26,6 @@ from repro.workloads import Trace, get_profile, record_trace
 from repro.workloads.benchmark import BenchmarkProfile
 
 
-class _TraceStream:
-    """Adapter: replay a Trace wherever an AccessStream is expected."""
-
-    def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-
-    def next_access(self):
-        return self.trace.next_access()
-
-
 def run_with_traces(traces, profiles, config, scheme, instructions: int):
     cache = SharedCache(config.geometry, len(profiles), policy=LRUPolicy())
     if scheme == "prism-h":
@@ -43,8 +33,8 @@ def run_with_traces(traces, profiles, config, scheme, instructions: int):
     system = MultiCoreSystem(
         cache, profiles, memory=MemoryModel(config.num_controllers)
     )
-    # Swap the live generators for trace replays.
-    system.streams = [_TraceStream(t) for t in traces]
+    # Swap the live generators for trace replays (a Trace is a stream).
+    system.streams = list(traces)
     return system.run(instructions)
 
 

@@ -7,6 +7,11 @@ performance-counter provider for allocation policies that need CPI/IPC
 (PriSM-F and PriSM-Q read *interval* counters, rolled every allocation
 interval).
 
+Streams are read only through ``take``: each core consumes a buffered
+chunk of ``_CHUNK`` accesses and draws the next chunk when it runs out.
+A stream's ``(gap, address)`` sequence never depends on cache outcomes,
+so this returns exactly what one draw per access would.
+
 Methodology mirrors the paper: every program runs until it retires its
 instruction target; programs that finish early keep executing (their
 streams keep generating cache pressure) but their reported statistics are
@@ -42,6 +47,9 @@ __all__ = [
 #: footprint, and a multiple of every set count, so per-core streams map
 #: uniformly over sets but never collide.
 _CORE_ADDRESS_STRIDE = 1 << 36
+
+#: Accesses drawn per stream ``take`` (see the module docstring).
+_CHUNK = 512
 
 
 @dataclass
@@ -193,6 +201,8 @@ class MultiCoreSystem:
             self._pending_l1_lat = [0.0] * real_cores
         else:
             self.recorded_trace = None
+        # Per core: the drawn, not yet consumed rest of its last chunk.
+        self._drawn = [iter(()) for _ in range(real_cores)]
         self._snap_cycles = [0.0] * real_cores
         self._snap_instructions = [0] * real_cores
         self._snap_stall = [0.0] * real_cores
@@ -256,61 +266,62 @@ class MultiCoreSystem:
                 f"instructions_per_core must be >= 1, got {instructions_per_core}"
             )
         cache = self.cache
-        memory = self.memory
+        access = cache.access
+        miss_latency = self.memory.miss_latency
         recorder = self.telemetry
         trace = self.recorded_trace
+        streams = self.streams
+        drawn = self._drawn
+        l1s = self.l1s
+        l1_hit_latency = self.l1_hit_latency
+        inclusive = self.inclusive
+        heapreplace = heapq.heapreplace
         run_start = perf_counter()
         start_accesses = self.total_accesses
         occupancy_at_finish = [0.0] * self.num_cores
         unfinished = sum(1 for c in self.cores if not c.finished)
-        heap = [(core.cycles, core.core_id) for core in self.cores if not core.finished]
+        # (cycle, core id) orders the heap; core ids are unique, so the
+        # core and its drawn accesses riding along are never compared.
+        heap = [
+            (core.cycles, core.core_id, core, drawn[core.core_id])
+            for core in self.cores
+            if not core.finished
+        ]
         heapq.heapify(heap)
 
         while unfinished > 0:
-            now, cid = heapq.heappop(heap)
-            core = self.cores[cid]
-            gap, addr = self.streams[cid].next_access()
-            addr += cid * _CORE_ADDRESS_STRIDE
-            if self.l1s is not None and self.l1s[cid].access(addr):
-                core.advance_local(gap, self.l1_hit_latency)
+            now, cid, core, accesses = heap[0]
+            pair = next(accesses, None)
+            if pair is None:
+                gaps, addrs = streams[cid].take(_CHUNK)
+                offset = cid * _CORE_ADDRESS_STRIDE
+                accesses = zip(gaps, [addr + offset for addr in addrs])
+                drawn[cid] = accesses
+                pair = next(accesses)
+            gap, addr = pair
+            if l1s is not None and l1s[cid].access(addr):
+                core.advance_local(gap, l1_hit_latency)
                 if trace is not None:
                     self._pending_l1_gap[cid] += gap
-                    self._pending_l1_lat[cid] += self.l1_hit_latency
-                if not core.finished and core.instructions >= instructions_per_core:
-                    core.mark_finished()
-                    occupancy_at_finish[cid] = (
-                        cache.occupancy[cache.group_of(cid)]
-                        / cache.geometry.num_blocks
-                    )
-                    if recorder is not None:
-                        recorder.record_finish(
-                            cid,
-                            core.finish_instructions,
-                            core.finish_cycles,
-                            occupancy_at_finish[cid],
-                        )
-                    unfinished -= 1
-                    if unfinished == 0:
-                        break
-                heapq.heappush(heap, (core.cycles, cid))
-                continue
-            if trace is not None:
-                trace.cores.append(cid)
-                trace.addrs.append(addr)
-                trace.gaps.append(gap)
-                trace.l1_gaps.append(self._pending_l1_gap[cid])
-                trace.l1_lats.append(self._pending_l1_lat[cid])
-                self._pending_l1_gap[cid] = 0
-                self._pending_l1_lat[cid] = 0.0
-            result = cache.access(cid, addr)
-            self.total_accesses += 1
-            if self.inclusive and result.evicted_core >= 0:
-                self.l1s[result.evicted_core].invalidate(result.evicted_addr)
-            if result.hit:
-                core.advance(gap, True)
+                    self._pending_l1_lat[cid] += l1_hit_latency
             else:
-                issue_time = now + gap * core.profile.cpi_base
-                core.advance(gap, False, memory.miss_latency(addr, issue_time))
+                if trace is not None:
+                    trace.cores.append(cid)
+                    trace.addrs.append(addr)
+                    trace.gaps.append(gap)
+                    trace.l1_gaps.append(self._pending_l1_gap[cid])
+                    trace.l1_lats.append(self._pending_l1_lat[cid])
+                    self._pending_l1_gap[cid] = 0
+                    self._pending_l1_lat[cid] = 0.0
+                result = access(cid, addr)
+                self.total_accesses += 1
+                if inclusive and result.evicted_core >= 0:
+                    l1s[result.evicted_core].invalidate(result.evicted_addr)
+                if result.hit:
+                    core.advance(gap, True)
+                else:
+                    issue_time = now + gap * core.profile.cpi_base
+                    core.advance(gap, False, miss_latency(addr, issue_time))
             if not core.finished and core.instructions >= instructions_per_core:
                 core.mark_finished()
                 occupancy_at_finish[cid] = (
@@ -327,7 +338,7 @@ class MultiCoreSystem:
                 unfinished -= 1
                 if unfinished == 0:
                     break
-            heapq.heappush(heap, (core.cycles, cid))
+            heapreplace(heap, (core.cycles, cid, core, accesses))
             if max_accesses is not None and self.total_accesses > max_accesses:
                 raise RuntimeError(
                     f"exceeded {max_accesses} accesses with {unfinished} cores unfinished"

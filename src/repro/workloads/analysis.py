@@ -18,6 +18,16 @@ from repro.workloads.benchmark import BenchmarkProfile
 __all__ = ["miss_curve", "reuse_distance_histogram", "classify_profile"]
 
 
+def _addresses(profile, accesses: int, seed: int, scale: float) -> List[int]:
+    """The first ``accesses`` addresses of the profile's seeded stream
+    (a phased stream hands them over one phase at a time)."""
+    stream = profile.stream(seed=seed, scale=scale)
+    addrs: List[int] = []
+    while len(addrs) < accesses:
+        addrs += stream.take(accesses - len(addrs))[1]
+    return addrs
+
+
 def miss_curve(
     profile: BenchmarkProfile,
     cache_blocks: Sequence[int],
@@ -41,15 +51,14 @@ def miss_curve(
     """
     if not cache_blocks:
         raise ValueError("need at least one cache size")
+    addrs = _addresses(profile, accesses, seed, scale)
     rates = []
     for blocks in cache_blocks:
         geometry = CacheGeometry(blocks * 64, 64, assoc)
-        cache = SharedCache(geometry, 1)
-        stream = profile.stream(seed=seed, scale=scale)
+        access = SharedCache(geometry, 1).access
         misses = 0
-        for _ in range(accesses):
-            _, addr = stream.next_access()
-            misses += not cache.access(0, addr).hit
+        for addr in addrs:
+            misses += not access(0, addr).hit
         rates.append(misses / accesses)
     return rates
 
@@ -71,9 +80,7 @@ def reuse_distance_histogram(
     stack: List[int] = []
     buckets = {"<=16": 0, "<=64": 0, "<=256": 0, "<=1024": 0, "<=max": 0,
                "cold_or_beyond": 0}
-    stream = profile.stream(seed=seed, scale=scale)
-    for _ in range(accesses):
-        _, addr = stream.next_access()
+    for addr in _addresses(profile, accesses, seed, scale):
         try:
             distance = stack.index(addr)
             del stack[distance]

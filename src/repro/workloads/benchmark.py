@@ -11,14 +11,14 @@ references and how much latency it can hide):
   dividing the exposed miss penalty,
 - ``cpi_base`` — CPI of the core when every access hits.
 
-:class:`AccessStream` is the per-run instantiation: a seeded iterator of
-``(gap_instructions, block_address)`` pairs.
+:class:`AccessStream` is the per-run instantiation: a seeded source of
+``(gap_instructions, block_address)`` pairs, drawn in bulk by ``take``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.util.rng import make_rng
 from repro.util.validate import check_positive
@@ -73,11 +73,16 @@ class BenchmarkProfile:
 
 
 class AccessStream:
-    """Seeded iterator of ``(gap_instructions, block_address)`` pairs.
+    """Seeded source of ``(gap_instructions, block_address)`` pairs.
 
     Gaps are drawn uniformly in ``[0.5, 1.5] * mean_gap`` (at least one
     instruction), so instruction counts accumulate with mild jitter around
     the profile's memory intensity.
+
+    :meth:`take` draws accesses in bulk. Gaps and addresses come from two
+    independent seeded generators and never depend on what the cache does
+    with them, so drawing ahead changes when a draw happens, not what it
+    returns: any chunking yields the same sequence.
     """
 
     def __init__(self, profile: BenchmarkProfile, seed: int = 0, scale: float = 1.0) -> None:
@@ -86,15 +91,36 @@ class AccessStream:
         self._rng = make_rng(seed, "gaps", profile.name)
         self._gap_lo = max(1, int(profile.mean_gap * 0.5))
         self._gap_hi = max(self._gap_lo, int(profile.mean_gap * 1.5))
+        #: Accesses drawn so far (ahead of consumption when read in chunks).
         self.generated = 0
+
+    def take(self, n: int) -> Tuple[List[int], List[int]]:
+        """Draw the next ``n`` accesses as ``(gaps, addrs)`` lists.
+
+        Each gap is uniform in ``[lo, hi]``: ``lo`` plus CPython's
+        ``_randbelow_with_getrandbits(width)`` inlined, that is
+        ``getrandbits(width.bit_length())`` redrawn while ``>= width``, the
+        draw the per-call integer API makes.
+        """
+        addrs = self.zone_model.take(n)  # validates n
+        getrandbits = self._rng.getrandbits
+        lo = self._gap_lo
+        width = self._gap_hi - lo + 1
+        k = width.bit_length()
+        gaps: List[int] = []
+        append = gaps.append
+        for _ in range(n):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            append(lo + r)
+        self.generated += n
+        return gaps, addrs
 
     def next_access(self) -> Tuple[int, int]:
         """The next (gap, address) pair."""
-        self.generated += 1
-        return (
-            self._rng.randint(self._gap_lo, self._gap_hi),
-            self.zone_model.next_address(),
-        )
+        gaps, addrs = self.take(1)
+        return gaps[0], addrs[0]
 
     def __iter__(self):
         while True:

@@ -8,8 +8,13 @@ can be exercised: PriSM must re-learn targets when the active phase's
 reuse behaviour changes, and the Fig. 11 stability story becomes a
 per-phase property instead of a global one.
 
-The phased stream keeps the ``next_access`` protocol, so it drops into
-:class:`~repro.cpu.system.MultiCoreSystem` like any other stream.
+The phased stream speaks the same ``take`` protocol as the other streams,
+so it drops into :class:`~repro.cpu.system.MultiCoreSystem` like any of
+them. A ``take`` never crosses a phase boundary: it returns fewer
+accesses than asked for when the phase ends first, and the switch to the
+next phase happens at the start of the following ``take``. So
+:attr:`PhasedStream.current_phase` is the phase of the chunk the caller
+is working through.
 """
 
 from __future__ import annotations
@@ -84,6 +89,11 @@ class PhasedStream:
             for i, (p, _) in enumerate(profile.phases)
         ]
         self._lengths = [instructions for _, instructions in profile.phases]
+        # Per phase: accesses drawn from its sub-stream past the phase end,
+        # served first when the schedule comes back to it.
+        self._leftover: List[Tuple[List[int], List[int]]] = [
+            ([], []) for _ in self._streams
+        ]
         self._phase = 0
         self._instructions_in_phase = 0
         self.generated = 0
@@ -91,16 +101,50 @@ class PhasedStream:
 
     @property
     def current_phase(self) -> int:
-        """Index of the active phase."""
+        """Index of the active phase: the phase of the chunk the last
+        :meth:`take` returned, or after :meth:`next_access` the phase of
+        the access it will return next."""
         return self._phase
 
-    def next_access(self) -> Tuple[int, int]:
-        gap, addr = self._streams[self._phase].next_access()
-        self.generated += 1
-        self._instructions_in_phase += gap
-        result = (gap, addr + self._phase * self.PHASE_STRIDE)
+    def _advance_phase(self) -> None:
+        """Switch to the next phase once the active one has run its
+        instruction budget."""
         if self._instructions_in_phase >= self._lengths[self._phase]:
             self._instructions_in_phase = 0
             self._phase = (self._phase + 1) % len(self._streams)
             self.phase_switches += 1
-        return result
+
+    def take(self, n: int) -> Tuple[List[int], List[int]]:
+        """Draw up to ``n`` accesses of the current phase (at least one
+        for ``n >= 1``), stopping after the access that completes it."""
+        if n < 0:
+            raise ValueError(f"count must be >= 0, got {n}")
+        self._advance_phase()
+        phase = self._phase
+        gaps, addrs = self._leftover[phase]
+        if len(gaps) < n:
+            more_gaps, more_addrs = self._streams[phase].take(n - len(gaps))
+            gaps = gaps + more_gaps
+            addrs = addrs + more_addrs
+        limit = self._lengths[phase]
+        used = self._instructions_in_phase
+        count = 0
+        for gap in gaps:
+            if count == n:
+                break
+            count += 1
+            used += gap
+            if used >= limit:
+                break
+        self._instructions_in_phase = used
+        self._leftover[phase] = (gaps[count:], addrs[count:])
+        self.generated += count
+        offset = phase * self.PHASE_STRIDE
+        return gaps[:count], [addr + offset for addr in addrs[:count]]
+
+    def next_access(self) -> Tuple[int, int]:
+        """The next (gap, address) pair. One access is consumed as soon as
+        it is returned, so the switch a completed phase owes is made now."""
+        gaps, addrs = self.take(1)
+        self._advance_phase()
+        return gaps[0], addrs[0]

@@ -12,7 +12,7 @@ profile's name for provenance.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ __all__ = ["Trace", "record_trace"]
 class Trace:
     """An in-memory access trace (gaps + block addresses).
 
-    Supports the same ``next_access`` protocol as
+    Supports the same ``take``/``next_access`` protocol as
     :class:`~repro.workloads.benchmark.AccessStream` (wrapping around at the
     end, like the re-executed programs of the paper's methodology), so a
     trace can stand in for a live stream anywhere in the simulator.
@@ -52,12 +52,29 @@ class Trace:
     def __len__(self) -> int:
         return len(self.gaps)
 
+    def take(self, n: int) -> Tuple[List[int], List[int]]:
+        """Next ``n`` accesses as ``(gaps, addrs)``, wrapping at the end."""
+        if n < 0:
+            raise ValueError(f"count must be >= 0, got {n}")
+        length = len(self.gaps)
+        gaps: List[int] = []
+        addrs: List[int] = []
+        i = self._pos
+        remaining = n
+        while remaining:
+            stop = min(i + remaining, length)
+            gaps += self.gaps[i:stop].tolist()
+            addrs += self.addrs[i:stop].tolist()
+            remaining -= stop - i
+            i = stop % length
+        self._pos = i
+        self.generated += n
+        return gaps, addrs
+
     def next_access(self) -> Tuple[int, int]:
         """Next (gap, address), wrapping at the end of the trace."""
-        i = self._pos
-        self._pos = (i + 1) % len(self.gaps)
-        self.generated += 1
-        return int(self.gaps[i]), int(self.addrs[i])
+        gaps, addrs = self.take(1)
+        return gaps[0], addrs[0]
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         for gap, addr in zip(self.gaps, self.addrs):
@@ -88,9 +105,5 @@ def record_trace(
     """Capture ``length`` accesses of a profile's stream into a trace."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    stream = AccessStream(profile, seed=seed, scale=scale)
-    gaps = np.empty(length, dtype=np.int64)
-    addrs = np.empty(length, dtype=np.int64)
-    for i in range(length):
-        gaps[i], addrs[i] = stream.next_access()
+    gaps, addrs = AccessStream(profile, seed=seed, scale=scale).take(length)
     return Trace(gaps, addrs, source=profile.name)

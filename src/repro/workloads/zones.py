@@ -94,28 +94,56 @@ class ZoneModel:
             base += size
         self.footprint = base
         self._scan_pos = [0] * len(zones)
+        # Draw width per zone: 0 marks a scan, else the bit count of the
+        # uniform zone's rejection-sampled offset.
+        self._bits = [
+            0 if isinstance(z, ScanZone) else size.bit_length()
+            for z, size in zip(zones, self._sizes)
+        ]
         self._rng = make_rng(seed, "zones")
 
-    def next_address(self) -> int:
-        """Generate the next block address."""
-        r = self._rng.random()
-        index = 0
-        while self._cumweights[index] < r:
-            index += 1
-        zone = self.zones[index]
-        size = self._sizes[index]
-        if isinstance(zone, ScanZone):
-            offset = self._scan_pos[index]
-            self._scan_pos[index] = (offset + 1) % size
-        else:
-            offset = self._rng.randrange(size)
-        return self._bases[index] + offset
+    def take(self, n: int) -> List[int]:
+        """Draw the next ``n`` block addresses.
+
+        The one draw implementation: every address costs one ``random()``
+        (the zone choice) and, in a uniform zone, one uniform offset below
+        the zone size. The offset is CPython's
+        ``_randbelow_with_getrandbits`` inlined —
+        ``getrandbits(size.bit_length())`` redrawn while ``>= size`` — so
+        the addresses equal the per-call ``random.Random`` sequence bit for
+        bit, whatever the chunking.
+        """
+        if n < 0:
+            raise ValueError(f"count must be >= 0, got {n}")
+        random = self._rng.random
+        getrandbits = self._rng.getrandbits
+        cumweights = self._cumweights
+        bases = self._bases
+        sizes = self._sizes
+        bits = self._bits
+        scan_pos = self._scan_pos
+        out: List[int] = []
+        append = out.append
+        for _ in range(n):
+            r = random()
+            index = 0
+            while cumweights[index] < r:
+                index += 1
+            size = sizes[index]
+            k = bits[index]
+            if k:
+                offset = getrandbits(k)
+                while offset >= size:
+                    offset = getrandbits(k)
+            else:
+                offset = scan_pos[index]
+                scan_pos[index] = (offset + 1) % size
+            append(bases[index] + offset)
+        return out
 
     def addresses(self, count: int) -> List[int]:
         """Generate ``count`` addresses (convenience for tests/traces)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return [self.next_address() for _ in range(count)]
+        return self.take(count)
 
     def zone_ranges(self) -> List[Tuple[int, int]]:
         """Per-zone (base, size) address ranges, for inspection."""

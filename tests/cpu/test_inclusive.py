@@ -50,10 +50,11 @@ class TestInclusiveHierarchy:
                 self.addrs = list(addrs)
                 self.pos = 0
 
-            def next_access(self):
-                addr = self.addrs[min(self.pos, len(self.addrs) - 1)]
-                self.pos += 1
-                return 1, addr
+            def take(self, n):
+                last = len(self.addrs) - 1
+                addrs = [self.addrs[min(self.pos + i, last)] for i in range(n)]
+                self.pos += n
+                return [1] * n, addrs
 
         sets = LLC.num_sets
         a = 0

@@ -17,7 +17,7 @@ def build_system(scheme, traces, profiles):
     if scheme is not None:
         cache.set_scheme(scheme)
     system = MultiCoreSystem(cache, profiles)
-    system.streams = traces  # Trace satisfies the next_access protocol
+    system.streams = traces  # Trace satisfies the take protocol
     return system, cache
 
 
