@@ -10,9 +10,9 @@ cell as a cacheable, retryable unit of work:
 - :mod:`repro.campaign.store` — :class:`ResultStore`, an append-only
   JSONL log of results and typed :class:`FailedRun` records that
   round-trips :class:`~repro.experiments.runner.WorkloadResult`s exactly;
-- :mod:`repro.campaign.executor` — per-spec fault isolation (a worker
-  exception or timeout costs one spec, not the pool) with fresh-worker
-  retries;
+- :mod:`repro.campaign.executor` — per-spec fault isolation on warm
+  worker processes (an exception or timeout costs one spec, not the
+  grid; the worker it touched is replaced);
 - :mod:`repro.campaign.runner` — :class:`CampaignRunner`, the
   skip-completed / execute-pending / persist-incrementally loop;
 - :mod:`repro.campaign.campaign` — :class:`Campaign`, the saved-manifest

@@ -1,42 +1,52 @@
-"""Fault-isolated spec execution: one process per attempt, typed failures.
+"""Fault-isolated spec execution over warm workers, with typed failures.
 
-The plain pool in :mod:`repro.experiments.parallel` is built for the happy
-path — any worker exception aborts the whole grid (now at least wrapped
-with the failing spec's context, see
-:class:`~repro.experiments.parallel.SpecRunError`). Campaigns need the
-opposite contract: one bad spec must not cost the other thousand. This
-module executes each attempt in its *own* child process, so
+Every spec grid in the repo runs through :func:`iter_isolated`: campaigns
+with retries, and :func:`~repro.experiments.parallel.run_specs` as its
+``retries=0`` client. One bad spec must not cost the other thousand, so
 
 - an exception inside a run becomes a typed :class:`SpecError` on that
   spec's outcome while every other spec keeps running;
-- a hung run is killed at ``timeout`` seconds (the child holds no state
-  anyone needs — results only exist once they arrive over the pipe);
-- a retry really is a *fresh worker*: new process, no poisoned
-  interpreter state from the failed attempt.
+- ``jobs`` above 1 (or any ``timeout``) runs specs on
+  ``min(jobs, len(specs))`` *warm* forked workers. Each worker receives
+  the machine config once, at fork, then runs the specs sent over its
+  pipe one at a time — its stand-alone IPC memo stays warm across them;
+- a worker whose attempt failed, crashed or ran past ``timeout`` seconds
+  is SIGKILLed and replaced, so no attempt — a retry included — ever runs
+  in a process a failure touched (a worker holds no state anyone needs:
+  results only exist once they arrive over the pipe);
+- a worker exits when its pipe reaches EOF: the driver closed it, or the
+  driver died.
 
 Determinism is unaffected: a run's outcome depends only on its spec (see
 :mod:`repro.experiments.parallel`), so isolated results are field-for-field
-equal to pool or serial results. The price is that per-worker memo warmth
-(the stand-alone IPC cache) only carries *into* children via fork, not
-between them — campaigns trade a little throughput for survivability.
+equal to serial results.
 
 When ``jobs`` resolves to 1 and no timeout is requested, specs run
-in-process (exceptions are still caught per spec; only a hard crash of
-the driver itself is fatal, and the campaign store makes that resumable).
+in-process through :func:`run_attempts`, the attempt loop the herd worker
+uses too (exceptions are still caught per spec; only a hard crash of the
+driver itself is fatal, and the campaign store makes that resumable).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.configs import MachineConfig
-from repro.experiments.parallel import RunSpec, _pool_context, resolve_jobs
-from repro.experiments.runner import WorkloadResult, run_workload
+from repro.experiments.parallel import RunSpec, resolve_jobs, run_spec
+from repro.experiments.runner import WorkloadResult
 
-__all__ = ["SpecError", "SpecOutcome", "iter_isolated", "run_isolated"]
+__all__ = [
+    "SpecError",
+    "SpecOutcome",
+    "fork_context",
+    "iter_isolated",
+    "run_attempts",
+    "run_isolated",
+]
 
 #: Error types that identify a *deterministic* failure: the run would fail
 #: identically in a fresh process, so retrying only burns attempts. An
@@ -53,6 +63,9 @@ class SpecError:
     message: str
     traceback: str = ""
     timed_out: bool = False
+    #: The exception itself, on the in-process path only (it cannot cross
+    #: a process boundary); ``run_specs`` chains it as ``__cause__``.
+    exception: Optional[BaseException] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -71,48 +84,78 @@ class SpecOutcome:
         return self.result is not None
 
 
-def _run_one(spec: RunSpec, config: MachineConfig) -> WorkloadResult:
-    return run_workload(
-        spec.mix,
-        config,
-        spec.scheme,
-        seed=spec.seed,
-        instructions=spec.instructions,
-        scheme_kwargs=spec.scheme_kwargs,
-        telemetry=spec.telemetry,
-        check=spec.check,
-    )
+def fork_context():
+    """The ``multiprocessing`` context for every worker process in the repo.
+
+    ``fork`` where available, so children inherit the parent's imported
+    modules (no re-import cost per worker).
+    """
+    import multiprocessing
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
-def _child_main(conn, spec: RunSpec, config: MachineConfig) -> None:
-    """Child-process entry: run the spec, ship the outcome over the pipe."""
-    start = time.perf_counter()
-    try:
-        result = _run_one(spec, config)
-        conn.send(("ok", result, time.perf_counter() - start))
-    except BaseException as exc:  # everything, incl. KeyError/SystemExit
-        conn.send(
-            (
-                "error",
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-                time.perf_counter() - start,
+def run_attempts(
+    index: int, spec: RunSpec, config: MachineConfig, retries: int
+) -> SpecOutcome:
+    """Run one spec in this process, retrying a failed attempt.
+
+    Up to ``retries`` extra attempts follow a failure, except one of
+    :data:`NON_RETRYABLE_ERRORS`. ``wall_seconds`` covers the successful
+    (or last) attempt only.
+    """
+    for attempt in range(1, retries + 2):
+        start = time.perf_counter()
+        try:
+            result = run_spec(spec, config)
+        except Exception as exc:
+            error = SpecError(
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback=traceback.format_exc(),
+                exception=exc,
             )
-        )
-    finally:
-        conn.close()
+            outcome = SpecOutcome(
+                index, spec, None, error, attempt, time.perf_counter() - start
+            )
+            if error.error_type in NON_RETRYABLE_ERRORS:
+                break  # deterministic failure: retrying cannot help
+            continue
+        return SpecOutcome(index, spec, result, None, attempt, time.perf_counter() - start)
+    return outcome
+
+
+def _worker_main(conn, config: MachineConfig, inherited) -> None:
+    """Worker process: run each spec that arrives on ``conn`` until EOF."""
+    # Fork copied the driver's ends of this pipe and of every sibling's;
+    # holding them would keep those pipes from ever reaching EOF.
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            spec = conn.recv()
+        except (EOFError, OSError):
+            return
+        start = time.perf_counter()
+        try:
+            result, error = run_spec(spec, config), None
+        except BaseException as exc:  # everything, incl. KeyError/SystemExit
+            result = None
+            error = SpecError(type(exc).__name__, str(exc), traceback.format_exc())
+        try:
+            conn.send((result, error, time.perf_counter() - start))
+        except OSError:  # the driver is gone
+            return
 
 
 @dataclass
-class _Attempt:
-    index: int
-    spec: RunSpec
-    attempt: int  # 1-based
+class _Worker:
     process: object
     conn: object
-    deadline: Optional[float]
-    started: float
+    task: Optional[Tuple[int, RunSpec, int]] = None  # (index, spec, attempt)
+    started: float = 0.0
 
 
 def iter_isolated(
@@ -127,12 +170,12 @@ def iter_isolated(
     Args:
         specs: runs to execute.
         config: machine shared by every run.
-        jobs: concurrent attempt processes (same resolution rules as
+        jobs: concurrent worker processes (same resolution rules as
             :func:`~repro.experiments.parallel.resolve_jobs`).
-        retries: extra attempts after a failed one, each in a fresh
-            process (``0`` = one attempt total).
+        retries: extra attempts after a failed one, never in the process
+            that failed (``0`` = one attempt total).
         timeout: per-attempt wall-clock limit in seconds; a timed-out
-            child is SIGKILLed and the attempt counts as failed.
+            worker is SIGKILLed and the attempt counts as failed.
 
     Yields:
         One :class:`SpecOutcome` per spec, in completion order.
@@ -140,163 +183,92 @@ def iter_isolated(
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
-    if not specs:
-        return
     if jobs <= 1 and timeout is None:
-        yield from _iter_in_process(specs, config, retries)
+        for index, spec in enumerate(specs):
+            yield run_attempts(index, spec, config, retries)
         return
+    jobs = min(jobs, len(specs))
 
-    from multiprocessing.connection import wait as conn_wait
+    from multiprocessing.connection import wait
 
-    ctx = _pool_context()
-    pending = [(index, spec, 1) for index, spec in enumerate(specs)]
-    pending.reverse()  # pop() from the front of the original order
-    running: List[_Attempt] = []
+    ctx = fork_context()
+    pending = deque((index, spec, 1) for index, spec in enumerate(specs))
+    workers: List[_Worker] = []
 
-    def launch(index: int, spec: RunSpec, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def start_worker() -> _Worker:
+        conn, child_conn = ctx.Pipe()
+        inherited = [w.conn for w in workers] + [conn]
         process = ctx.Process(
-            target=_child_main, args=(child_conn, spec, config), daemon=True
+            target=_worker_main, args=(child_conn, config, inherited), daemon=True
         )
         process.start()
         child_conn.close()
-        now = time.monotonic()
-        running.append(
-            _Attempt(
-                index=index,
-                spec=spec,
-                attempt=attempt,
-                process=process,
-                conn=parent_conn,
-                deadline=(now + timeout) if timeout is not None else None,
-                started=now,
-            )
-        )
+        workers.append(_Worker(process, conn))
+        return workers[-1]
 
-    def finish(attempt: _Attempt, payload, timed_out: bool = False):
-        """Turn one attempt's payload (or lack of one) into error/result."""
-        running.remove(attempt)
-        attempt.conn.close()
-        attempt.process.join()
-        if timed_out:
-            return None, SpecError(
-                error_type="Timeout",
-                message=f"exceeded {timeout:g}s wall-clock limit",
-                timed_out=True,
-            ), time.monotonic() - attempt.started
-        if payload is None:  # died without sending (crash/SIGKILL)
-            code = attempt.process.exitcode
-            return None, SpecError(
-                error_type="WorkerCrash",
-                message=f"worker exited with code {code} before reporting",
-            ), time.monotonic() - attempt.started
-        if payload[0] == "ok":
-            _, result, elapsed = payload
-            return result, None, elapsed
-        _, error_type, message, tb, elapsed = payload
-        return None, SpecError(error_type=error_type, message=message, traceback=tb), elapsed
+    def retire(worker: _Worker) -> None:
+        workers.remove(worker)
+        worker.process.kill()
+        worker.conn.close()
+        worker.process.join()
 
     try:
-        while pending or running:
-            while pending and len(running) < jobs:
-                index, spec, attempt = pending.pop()
-                launch(index, spec, attempt)
+        while pending or any(w.task for w in workers):
+            idle = [w for w in workers if w.task is None]
+            while pending and (idle or len(workers) < jobs):
+                worker = idle.pop() if idle else start_worker()
+                worker.task = pending.popleft()
+                worker.started = time.monotonic()
+                try:
+                    worker.conn.send(worker.task[1])
+                except OSError:  # died while idle: wait() reports the EOF
+                    pass
 
-            now = time.monotonic()
+            busy = [w for w in workers if w.task is not None]
             poll: Optional[float] = None
             if timeout is not None:
-                nearest = min(a.deadline for a in running)
-                poll = max(0.0, nearest - now)
-            ready = conn_wait([a.conn for a in running], timeout=poll)
+                nearest = min(w.started for w in busy) + timeout
+                poll = max(0.0, nearest - time.monotonic())
+            ready = wait([w.conn for w in busy], timeout=poll)
 
-            finished = []
-            for attempt in list(running):
-                if attempt.conn in ready:
+            for worker in busy:
+                index, spec, attempt = worker.task
+                elapsed = time.monotonic() - worker.started
+                if worker.conn in ready:
                     try:
-                        payload = attempt.conn.recv()
-                    except (EOFError, OSError):
-                        payload = None
-                    finished.append((attempt, payload, False))
-                elif attempt.deadline is not None and time.monotonic() >= attempt.deadline:
-                    attempt.process.kill()
-                    finished.append((attempt, None, True))
-
-            for attempt, payload, timed_out in finished:
-                result, error, elapsed = finish(attempt, payload, timed_out)
-                if result is not None:
-                    yield SpecOutcome(
-                        index=attempt.index,
-                        spec=attempt.spec,
-                        result=result,
-                        error=None,
-                        attempts=attempt.attempt,
-                        wall_seconds=elapsed,
+                        result, error, elapsed = worker.conn.recv()
+                    except (EOFError, OSError):  # died without reporting
+                        result = error = None
+                elif timeout is not None and elapsed >= timeout:
+                    result, error = None, SpecError(
+                        error_type="Timeout",
+                        message=f"exceeded {timeout:g}s wall-clock limit",
+                        timed_out=True,
                     )
-                elif (
-                    attempt.attempt <= retries
-                    and error.error_type not in NON_RETRYABLE_ERRORS
-                ):
-                    pending.append((attempt.index, attempt.spec, attempt.attempt + 1))
                 else:
-                    yield SpecOutcome(
-                        index=attempt.index,
-                        spec=attempt.spec,
-                        result=None,
-                        error=error,
-                        attempts=attempt.attempt,
-                        wall_seconds=elapsed,
+                    continue
+                worker.task = None
+                if result is not None:
+                    yield SpecOutcome(index, spec, result, None, attempt, elapsed)
+                    continue
+                retire(worker)  # whatever runs next gets a fresh process
+                if error is None:
+                    error = SpecError(
+                        error_type="WorkerCrash",
+                        message=f"worker exited with code {worker.process.exitcode} "
+                        "before reporting",
                     )
+                if attempt <= retries and error.error_type not in NON_RETRYABLE_ERRORS:
+                    pending.appendleft((index, spec, attempt + 1))
+                else:
+                    yield SpecOutcome(index, spec, None, error, attempt, elapsed)
     finally:
-        for attempt in running:
-            attempt.process.kill()
-            attempt.conn.close()
-        for attempt in running:
-            attempt.process.join()
-
-
-def _iter_in_process(
-    specs: Sequence[RunSpec], config: MachineConfig, retries: int
-) -> Iterator[SpecOutcome]:
-    """Serial fallback: same outcomes, exceptions caught per attempt."""
-    for index, spec in enumerate(specs):
-        error: Optional[SpecError] = None
-        elapsed = 0.0
-        attempts = 0
-        outcome: Optional[SpecOutcome] = None
-        for attempt in range(1, retries + 2):
-            attempts = attempt
-            start = time.perf_counter()
-            try:
-                result = _run_one(spec, config)
-            except Exception as exc:
-                elapsed = time.perf_counter() - start
-                error = SpecError(
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback=traceback.format_exc(),
-                )
-                if error.error_type in NON_RETRYABLE_ERRORS:
-                    break  # deterministic failure: retrying cannot help
-                continue
-            outcome = SpecOutcome(
-                index=index,
-                spec=spec,
-                result=result,
-                error=None,
-                attempts=attempt,
-                wall_seconds=time.perf_counter() - start,
-            )
-            break
-        if outcome is None:
-            outcome = SpecOutcome(
-                index=index,
-                spec=spec,
-                result=None,
-                error=error,
-                attempts=attempts,
-                wall_seconds=elapsed,
-            )
-        yield outcome
+        for worker in workers:
+            if worker.task is not None:
+                worker.process.kill()  # mid-spec: its result is not wanted
+            worker.conn.close()  # EOF: an idle worker exits on its own
+        for worker in workers:
+            worker.process.join()
 
 
 def run_isolated(

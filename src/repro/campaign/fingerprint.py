@@ -87,7 +87,7 @@ def canonical_payload(spec: RunSpec, config: MachineConfig) -> dict:
         "instructions": (
             spec.instructions if spec.instructions is not None else config.instructions
         ),
-        "clusters": getattr(spec, "clusters", None),
+        "clusters": spec.clusters,
         "machine": {
             "num_cores": config.num_cores,
             "geometry": _geometry_payload(config.geometry),

@@ -23,7 +23,7 @@ from repro.campaign.executor import iter_isolated
 from repro.campaign.fingerprint import spec_fingerprint
 from repro.campaign.store import FailedRun, ResultStore
 from repro.experiments.configs import MachineConfig
-from repro.experiments.parallel import RunSpec, resolve_jobs
+from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import WorkloadResult
 
 __all__ = ["CampaignRun", "CampaignRunner", "cache_hit"]
@@ -82,9 +82,10 @@ class CampaignRunner:
         config: machine shared by every spec.
         jobs: concurrent worker processes (``None`` consults
             ``REPRO_JOBS``, like every other ``jobs=`` in the repo).
-        retries: extra fresh-worker attempts per failing spec.
+        retries: extra attempts per failing spec, never in the worker
+            process that failed.
         timeout: per-attempt wall-clock limit in seconds (``None`` = no
-            limit; enforced with one process per attempt).
+            limit; enforced by killing the worker process).
     """
 
     def __init__(
@@ -192,6 +193,3 @@ class CampaignRunner:
             skipped=len(cached),
             remaining=remaining,
         )
-
-    def resolve_jobs(self) -> int:
-        return resolve_jobs(self.jobs)

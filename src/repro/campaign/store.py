@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import socket
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -136,29 +136,39 @@ class StoredResult:
 # -- (de)serialisation -------------------------------------------------------
 
 
+#: The keys every stored spec has carried since format 1, written always.
+#: A later :class:`RunSpec` field is written only when it differs from its
+#: default, so the records of default specs stay byte-identical.
+_SPEC_KEYS = ("mix", "scheme", "seed", "instructions", "scheme_kwargs", "telemetry", "check")
+
+
 def spec_to_dict(spec: RunSpec) -> dict:
-    return {
-        "mix": spec.mix if isinstance(spec.mix, str) else list(spec.mix),
-        "scheme": spec.scheme,
-        "seed": spec.seed,
-        "instructions": spec.instructions,
-        "scheme_kwargs": dict(spec.scheme_kwargs) if spec.scheme_kwargs else None,
-        "telemetry": spec.telemetry,
-        "check": spec.check,
+    """``RunSpec`` as a JSON-clean dict, derived from its dataclass fields."""
+    data = {
+        f.name: getattr(spec, f.name)
+        for f in fields(RunSpec)
+        if f.name in _SPEC_KEYS or getattr(spec, f.name) != f.default
     }
+    data["mix"] = spec.mix if isinstance(spec.mix, str) else list(spec.mix)
+    data["scheme_kwargs"] = dict(spec.scheme_kwargs) if spec.scheme_kwargs else None
+    return data
 
 
 def spec_from_dict(data: dict) -> RunSpec:
+    """Inverse of :func:`spec_to_dict`; absent fields take their defaults.
+
+    Raises:
+        ValueError: a key that is not a ``RunSpec`` field — the record was
+            written by newer code, and dropping the key would silently
+            change what the spec means.
+    """
+    unknown = set(data) - {f.name for f in fields(RunSpec)}
+    if unknown:
+        raise ValueError(
+            f"unknown RunSpec field(s) {sorted(unknown)}: written by a newer repro?"
+        )
     mix = data["mix"]
-    return RunSpec(
-        mix=mix if isinstance(mix, str) else tuple(mix),
-        scheme=data["scheme"],
-        seed=data["seed"],
-        instructions=data["instructions"],
-        scheme_kwargs=data["scheme_kwargs"],
-        telemetry=data.get("telemetry", False),
-        check=data.get("check", False),
-    )
+    return RunSpec(**{**data, "mix": mix if isinstance(mix, str) else tuple(mix)})
 
 
 def _telemetry_to_dict(telemetry: RunTelemetry) -> dict:

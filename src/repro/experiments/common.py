@@ -40,7 +40,8 @@ def compare_schemes(
     Args:
         jobs: worker processes; ``None`` consults ``REPRO_JOBS`` (see
             :mod:`repro.experiments.parallel`). Above 1, the grid runs on
-            a process pool with results bit-identical to the serial loop.
+            warm worker processes with results bit-identical to the serial
+            loop.
         telemetry: record per-interval telemetry into every result
             (parallel runs return identical traces to serial ones).
 

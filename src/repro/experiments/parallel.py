@@ -1,10 +1,16 @@
-"""Parallel experiment executor: fan (mix, scheme, seed) runs over processes.
+"""Spec execution: one runner, fanned out over warm worker processes.
 
 The simulator is single-threaded pure Python, but every figure in the
 paper's evaluation is an *embarrassingly parallel* grid of independent
-``run_workload`` calls — mixes × schemes (× seeds for the noise sweeps).
-This module executes such grids over a ``multiprocessing`` pool while
-keeping the results **bit-identical to a serial run**:
+runs — mixes × schemes (× seeds for the noise sweeps). A grid cell is a
+:class:`RunSpec`, and :func:`run_spec` is the one place a spec turns into
+a :func:`~repro.experiments.runner.run_workload` call: its keyword
+arguments come from ``dataclasses.fields(RunSpec)``, so no execution path
+can drop a field.
+
+:func:`run_specs` executes a grid through the campaign executor
+(:func:`repro.campaign.executor.iter_isolated`) with no retries, and keeps
+the results **bit-identical to a serial run**:
 
 - Every run's randomness derives from the spec itself:
   :func:`~repro.experiments.runner.run_workload` seeds its streams with
@@ -14,11 +20,11 @@ keeping the results **bit-identical to a serial run**:
 - Results are reassembled by submission index, so callers observe the
   exact ordering a serial loop would have produced.
 
-Workers are started with the ``fork`` context where available, so they
-inherit the parent's imported modules (no re-import cost per worker), and
-each worker keeps the runner's memoised stand-alone IPC cache warm across
-every spec it executes — the ``IPC^SP`` baselines are computed at most
-once per (profile, geometry, policy) per worker.
+Workers are forked once and stay warm: they inherit the parent's
+imported modules and machine config, and each keeps the runner's
+memoised stand-alone IPC cache across every spec it executes — the
+``IPC^SP`` baselines are computed at most once per (profile, geometry,
+policy) per worker.
 
 ``jobs`` semantics (shared by every entry point that accepts ``jobs=``):
 
@@ -28,15 +34,14 @@ once per (profile, geometry, policy) per worker.
   up without threading a parameter through every signature); unset or
   invalid means serial.
 - ``<= 0`` — use ``os.cpu_count()``.
-- ``1`` — run serially in-process (no pool, no pickling).
+- ``1`` — run serially in-process (no workers, no pickling).
 """
 
 from __future__ import annotations
 
 import os
-import time
-import traceback
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments.configs import MachineConfig
@@ -46,6 +51,7 @@ __all__ = [
     "RunSpec",
     "SpecRunError",
     "resolve_jobs",
+    "run_spec",
     "run_specs",
     "parallel_compare_schemes",
 ]
@@ -64,11 +70,12 @@ STORE_ENV = "REPRO_STORE"
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One independent workload run: the unit the pool distributes.
+    """One independent workload run: the unit the executor distributes.
 
-    Attributes mirror :func:`~repro.experiments.runner.run_workload`'s
-    signature; a spec must be picklable (mix names or benchmark-name
-    sequences, not live simulator objects).
+    Every attribute is a keyword of
+    :func:`~repro.experiments.runner.run_workload` with the same name
+    (:func:`run_spec` relies on it); a spec must be picklable (mix names
+    or benchmark-name sequences, not live simulator objects).
     """
 
     mix: Union[str, Sequence[str]]
@@ -103,15 +110,25 @@ class RunSpec:
         return text
 
 
+def run_spec(spec: RunSpec, config: MachineConfig) -> WorkloadResult:
+    """Run one spec: the only ``RunSpec`` -> ``run_workload`` translation.
+
+    The keyword arguments are the spec's fields, so a field added to
+    :class:`RunSpec` reaches every execution path without touching one.
+    """
+    return run_workload(
+        config=config, **{f.name: getattr(spec, f.name) for f in fields(RunSpec)}
+    )
+
+
 class SpecRunError(RuntimeError):
     """A run failed inside :func:`run_specs`, annotated with its spec.
 
-    Raised instead of letting a worker's exception propagate raw out of
-    ``imap_unordered`` with no indication of which grid cell died. The
-    original exception is chained as ``__cause__`` on the serial path;
-    on the pool path (where the original traceback cannot cross the
-    process boundary) the worker's formatted traceback is kept in
-    :attr:`worker_traceback`.
+    Raised instead of letting a run's exception propagate raw with no
+    indication of which grid cell died. The formatted traceback is kept in
+    :attr:`worker_traceback`; on the in-process path the original
+    exception is also chained as ``__cause__`` (it cannot cross a process
+    boundary).
     """
 
     def __init__(
@@ -144,55 +161,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-# -- worker side ------------------------------------------------------------
-
-#: The machine config, installed once per worker by the pool initializer so
-#: it is not re-pickled with every task.
-_worker_config: Optional[MachineConfig] = None
-
-
-def _init_worker(config: MachineConfig) -> None:
-    global _worker_config
-    _worker_config = config
-
-
-def _run_indexed_spec(item):
-    """Run one spec; report success or a picklable error description.
-
-    Exceptions are returned, not raised: a raw exception out of
-    ``imap_unordered`` carries no hint of which spec died, so the driver
-    re-raises it as a :class:`SpecRunError` with the spec's context.
-    """
-    index, spec = item
-    start = time.perf_counter()
-    try:
-        result = run_workload(
-            spec.mix,
-            _worker_config,
-            spec.scheme,
-            seed=spec.seed,
-            instructions=spec.instructions,
-            scheme_kwargs=spec.scheme_kwargs,
-            telemetry=spec.telemetry,
-            backend=spec.backend,
-            clusters=spec.clusters,
-        )
-    except Exception as exc:
-        return index, None, (type(exc).__name__, str(exc), traceback.format_exc()), 0.0
-    return index, result, None, time.perf_counter() - start
-
-
-# -- driver side ------------------------------------------------------------
-
-
-def _pool_context():
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def _resolve_store(store):
     """``store`` argument -> a ResultStore, or None (no caching layer).
 
@@ -221,64 +189,31 @@ def _execute_specs(
 ) -> List[WorkloadResult]:
     """The execution core of :func:`run_specs` (no store layer).
 
+    The ``retries=0`` client of the campaign executor: the first failed
+    outcome aborts the grid as a :class:`SpecRunError`.
     ``on_result(index, result, wall_seconds)`` fires in the driver as each
     run completes — the store layer uses it to persist incrementally, so
     an interrupted grid keeps everything that finished.
     """
-    specs = list(specs)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(specs) <= 1:
-        results = []
-        for index, spec in enumerate(specs):
-            if progress:
-                progress(spec.describe())
-            start = time.perf_counter()
-            try:
-                result = run_workload(
-                    spec.mix,
-                    config,
-                    spec.scheme,
-                    seed=spec.seed,
-                    instructions=spec.instructions,
-                    scheme_kwargs=spec.scheme_kwargs,
-                    telemetry=spec.telemetry,
-                    backend=spec.backend,
-                    clusters=spec.clusters,
-                )
-            except Exception as exc:
-                raise SpecRunError(
-                    spec, index, type(exc).__name__, str(exc)
-                ) from exc
-            if on_result:
-                on_result(index, result, time.perf_counter() - start)
-            results.append(result)
-        return results
+    from repro.campaign.executor import iter_isolated
 
+    specs = list(specs)
     results: List[Optional[WorkloadResult]] = [None] * len(specs)
-    done = 0
-    ctx = _pool_context()
-    with ctx.Pool(
-        processes=min(jobs, len(specs)),
-        initializer=_init_worker,
-        initargs=(config,),
-    ) as pool:
-        # Unordered completion for throughput; the index restores spec
-        # order so parallel output is indistinguishable from serial.
-        for index, result, error, elapsed in pool.imap_unordered(
-            _run_indexed_spec, list(enumerate(specs))
-        ):
+    # A single spec runs in-process: one worker would only add a fork.
+    jobs = min(resolve_jobs(jobs), len(specs) or 1)
+    with closing(iter_isolated(specs, config, jobs=jobs)) as outcomes:
+        for done, outcome in enumerate(outcomes, 1):
+            error = outcome.error
             if error is not None:
-                error_type, message, worker_tb = error
                 raise SpecRunError(
-                    specs[index], index, error_type, message,
-                    worker_traceback=worker_tb,
-                )
-            results[index] = result
+                    outcome.spec, outcome.index, error.error_type, error.message,
+                    worker_traceback=error.traceback,
+                ) from error.exception
+            results[outcome.index] = outcome.result
             if on_result:
-                on_result(index, result, elapsed)
-            done += 1
+                on_result(outcome.index, outcome.result, outcome.wall_seconds)
             if progress:
-                progress(f"[{done}/{len(specs)}] {specs[index].describe()}")
+                progress(f"[{done}/{len(specs)}] {outcome.spec.describe()}")
     return results  # type: ignore[return-value]
 
 
@@ -339,8 +274,8 @@ def run_specs(
     Args:
         specs: the runs to execute (see :class:`RunSpec`).
         config: machine shared by every run.
-        jobs: worker processes (see module docstring for the resolution
-            rules). ``1`` executes serially in-process.
+        jobs: warm worker processes (see module docstring for the
+            resolution rules). ``1`` executes serially in-process.
         progress: optional ``callable(str)`` invoked as runs complete.
         store: a :class:`repro.campaign.ResultStore` (or a path to one);
             specs whose fingerprint the store holds return the stored
@@ -375,7 +310,7 @@ def parallel_compare_schemes(
     telemetry: bool = False,
     backend: str = "classic",
 ) -> Dict[str, Dict[str, WorkloadResult]]:
-    """The (mixes × schemes) grid behind every figure, executed by the pool.
+    """The (mixes × schemes) grid behind every figure, run by :func:`run_specs`.
 
     Same signature and return shape as
     :func:`repro.experiments.common.compare_schemes` (which delegates here

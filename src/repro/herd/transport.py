@@ -138,9 +138,9 @@ class LocalTransport(Transport):
     name = "local"
 
     def launch(self, worker: str, shard_doc: dict, deliver: Deliver) -> WorkerHandle:
-        from repro.experiments.parallel import _pool_context
+        from repro.campaign.executor import fork_context
 
-        ctx = _pool_context()
+        ctx = fork_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=_local_child_main, args=(child_conn, shard_doc), daemon=True

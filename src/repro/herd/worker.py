@@ -11,9 +11,10 @@ pipe for the local transport, framed stdio for ssh). The worker
   streamed to the controller;
 - emits a ``heartbeat`` message every ``heartbeat`` seconds from a
   daemon thread, so liveness is observable even mid-simulation;
-- retries a failing spec up to ``retries`` extra times (deterministic
-  :data:`~repro.campaign.executor.NON_RETRYABLE_ERRORS` break early,
-  matching the campaign executor's policy);
+- runs each spec through :func:`~repro.campaign.executor.run_attempts`,
+  the campaign executor's own in-process attempt loop: up to ``retries``
+  extra attempts, and deterministic
+  :data:`~repro.campaign.executor.NON_RETRYABLE_ERRORS` break early;
 - ships each outcome as a **store-shaped record** — the exact dict the
   controller appends to the worker's shard store with ``append_raw``;
 - honours ``assign`` (re-sharded orphans), ``drain`` (finish the
@@ -28,12 +29,11 @@ import socket
 import sys
 import threading
 import time
-import traceback
 from typing import Callable, List, Optional
 
-from repro.campaign.executor import NON_RETRYABLE_ERRORS
-from repro.campaign.store import STORE_FORMAT, result_to_dict
-from repro.experiments.runner import run_workload
+from repro.campaign.campaign import machine_from_dict
+from repro.campaign.executor import run_attempts
+from repro.campaign.store import STORE_FORMAT, result_to_dict, spec_from_dict
 from repro.herd.protocol import check_shard_doc
 
 __all__ = ["worker_loop", "stdio_worker_main"]
@@ -75,63 +75,32 @@ def _heartbeat_thread(
     return thread
 
 
-def _run_entry(entry: dict, machine_doc: dict, retries: int) -> dict:
+def _run_entry(entry: dict, config, retries: int) -> dict:
     """Execute one shard entry; returns a store-shaped record dict."""
-    from repro.campaign.campaign import machine_from_dict
-    from repro.campaign.store import spec_from_dict
-
-    spec = spec_from_dict(entry["spec"])
-    config = machine_from_dict(machine_doc)
-    fingerprint = entry["fingerprint"]
-    error_type = message = tb = ""
-    attempts = 0
-    for attempt in range(1, retries + 2):
-        attempts = attempt
-        start = time.perf_counter()
-        try:
-            result = run_workload(
-                spec.mix,
-                config,
-                spec.scheme,
-                seed=spec.seed,
-                instructions=spec.instructions,
-                scheme_kwargs=spec.scheme_kwargs,
-                telemetry=spec.telemetry,
-                check=spec.check,
-            )
-        except Exception as exc:
-            error_type = type(exc).__name__
-            message = str(exc)
-            tb = traceback.format_exc()
-            if error_type in NON_RETRYABLE_ERRORS:
-                break
-            continue
-        return {
-            "record": "result",
-            "format": STORE_FORMAT,
-            "fingerprint": fingerprint,
-            "spec": entry["spec"],
-            "meta": {
-                "wall_seconds": time.perf_counter() - start,
-                "host": socket.gethostname(),
-                "repro_version": _repro_version(),
-                "created_at": time.time(),
-            },
-            "result": result_to_dict(result),
-        }
-    return {
-        "record": "failure",
+    outcome = run_attempts(0, spec_from_dict(entry["spec"]), config, retries)
+    record = {
+        "record": "result" if outcome.ok else "failure",
         "format": STORE_FORMAT,
-        "fingerprint": fingerprint,
+        "fingerprint": entry["fingerprint"],
         "spec": entry["spec"],
-        "failure": {
-            "error_type": error_type,
-            "message": message,
-            "traceback": tb,
-            "attempts": attempts,
-            "timed_out": False,
-        },
     }
+    if outcome.ok:
+        record["meta"] = {
+            "wall_seconds": outcome.wall_seconds,
+            "host": socket.gethostname(),
+            "repro_version": _repro_version(),
+            "created_at": time.time(),
+        }
+        record["result"] = result_to_dict(outcome.result)
+    else:
+        record["failure"] = {
+            "error_type": outcome.error.error_type,
+            "message": outcome.error.message,
+            "traceback": outcome.error.traceback,
+            "attempts": outcome.attempts,
+            "timed_out": outcome.error.timed_out,
+        }
+    return record
 
 
 def _repro_version() -> str:
@@ -152,6 +121,7 @@ def worker_loop(
     ``fin``) from the transport's reader.
     """
     doc = check_shard_doc(shard_doc)
+    config = machine_from_dict(doc["machine"])
     worker = doc["worker"]
     retries = int(doc.get("retries", 0))
     heartbeat = float(doc["heartbeat"])
@@ -204,7 +174,7 @@ def worker_loop(
                 continue
             entry = work.pop(0)
             progress.current = entry["fingerprint"][:12]
-            record = _run_entry(entry, doc["machine"], retries)
+            record = _run_entry(entry, config, retries)
             if record["record"] == "result":
                 progress.done += 1
             else:

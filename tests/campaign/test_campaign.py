@@ -1,8 +1,9 @@
 """Campaign semantics: resume, fault isolation, zero-recompute caching."""
 
+import os
+
 import pytest
 
-import repro.campaign.executor as executor_module
 import repro.experiments.parallel as parallel_module
 from repro.campaign import (
     Campaign,
@@ -20,7 +21,11 @@ GRID = dict(mixes=["Q1", "Q2"], schemes=["lru", "dip"], seeds=[0])  # 4 specs
 
 
 def _counting(monkeypatch, module):
-    """Patch ``module.run_workload`` to count invocations (serial path)."""
+    """Patch ``module.run_workload`` to count invocations (serial path).
+
+    ``parallel_module`` is where :func:`~repro.experiments.parallel.run_spec`,
+    the one runner every execution path calls, looks ``run_workload`` up.
+    """
     calls = []
     original = module.run_workload
 
@@ -35,7 +40,7 @@ def _counting(monkeypatch, module):
 class TestResume:
     def test_interrupted_campaign_resumes_remainder(self, tmp_path, monkeypatch):
         """After k of n specs, a new campaign object executes exactly n-k."""
-        calls = _counting(monkeypatch, executor_module)
+        calls = _counting(monkeypatch, parallel_module)
         camp = Campaign.grid(tmp_path / "s", CONFIG, **GRID)
         first = camp.run(jobs=1, limit=1)  # interrupted after k=1 of n=4
         assert first.executed == 1 and first.remaining == 3
@@ -55,7 +60,7 @@ class TestResume:
         first = camp.run(jobs=1)
         assert first.executed == 4
 
-        calls = _counting(monkeypatch, executor_module)
+        calls = _counting(monkeypatch, parallel_module)
         again = Campaign.load(tmp_path / "s").run(jobs=1)
         assert len(calls) == 0  # no simulation at all
         assert again.executed == 0 and again.skipped == 4
@@ -63,7 +68,7 @@ class TestResume:
         assert again.results == first.results
 
     def test_duplicate_specs_execute_once(self, tmp_path, monkeypatch):
-        calls = _counting(monkeypatch, executor_module)
+        calls = _counting(monkeypatch, parallel_module)
         spec = RunSpec(mix="Q1", scheme="lru")
         camp = Campaign(tmp_path / "s", CONFIG, [spec, spec, spec])
         run = camp.run(jobs=1)
@@ -101,6 +106,23 @@ class TestFaultIsolation:
         [failure] = run.failures
         assert failure.attempts == 3  # 1 + 2 retries
 
+    def test_crashed_worker_is_replaced(self, monkeypatch):
+        original = parallel_module.run_workload
+
+        def crash_on_dip(*args, **kwargs):
+            if kwargs["scheme"] == "dip":
+                os._exit(3)  # die without reporting
+            return original(*args, **kwargs)
+
+        # Fork carries the patch into the workers.
+        monkeypatch.setattr(parallel_module, "run_workload", crash_on_dip)
+        specs = [RunSpec("Q1", "dip"), RunSpec("Q1", "lru"), RunSpec("Q2", "lru")]
+        outcomes = run_isolated(specs, CONFIG, jobs=2, retries=1)
+        assert [o.ok for o in outcomes] == [False, True, True]
+        assert outcomes[0].error.error_type == "WorkerCrash"
+        assert "code 3" in outcomes[0].error.message
+        assert outcomes[0].attempts == 2
+
     def test_failed_spec_retried_on_next_run(self, tmp_path):
         camp = Campaign(tmp_path / "s", CONFIG, [self.BAD], retries=0)
         camp.run(jobs=1)
@@ -125,6 +147,43 @@ class TestFaultIsolation:
         plain = run_specs(specs, CONFIG, jobs=1)
         outcomes = run_isolated(specs, CONFIG, jobs=2)
         assert [o.result for o in outcomes] == plain
+
+
+class TestSpecFieldsSurvive:
+    """``clusters``, ``backend`` and ``check`` reach the run and the store."""
+
+    CLUSTERED = RunSpec("shared:smoke4", "prism-h", seed=1, instructions=20_000,
+                        clusters=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_clustered_spec_through_campaign_run_load_results(self, tmp_path, jobs):
+        config = machine(4)
+        [expected] = run_specs([self.CLUSTERED], config, jobs=1)
+        camp = Campaign(tmp_path / "s", config, [self.CLUSTERED], retries=0)
+        assert camp.run(jobs=jobs).results == [expected]
+        loaded = Campaign.load(tmp_path / "s")
+        assert loaded.specs == [self.CLUSTERED]
+        assert loaded.specs[0].clusters == 2
+        assert loaded.results() == [expected]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_backend_reaches_the_run_and_the_manifest(self, tmp_path, monkeypatch, jobs):
+        original = parallel_module.run_workload
+
+        def vector_only(*args, **kwargs):
+            assert kwargs["backend"] == "vector", kwargs
+            return original(*args, **kwargs)
+
+        # Fork carries the patch into the workers.
+        monkeypatch.setattr(parallel_module, "run_workload", vector_only)
+        spec = RunSpec("Q1", "prism-h", backend="vector")
+        camp = Campaign(tmp_path / "s", CONFIG, [spec, RunSpec("Q2", backend="vector")],
+                        retries=0)
+        run = camp.run(jobs=jobs)
+        assert run.failed == 0 and run.executed == 2
+        loaded = Campaign.load(tmp_path / "s")
+        assert loaded.specs[0] == spec
+        assert loaded.results()[0] == run_specs([spec], CONFIG, jobs=1)[0]
 
 
 class TestStoreBackedRunSpecs:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-import repro.campaign.executor as executor_module
+import repro.experiments.parallel as parallel_module
 from repro.campaign import Campaign
 from repro.experiments.configs import machine
 
@@ -91,12 +91,81 @@ def test_sigkill_mid_campaign_then_resume(tmp_path):
     assert len(fingerprints) == len(set(fingerprints)) == 2
 
 
+#: The same campaign on two warm workers, with a third spec queued.
+_WARM_DRIVER = _DRIVER.replace('"dip"]', '"dip", "prism-h"]').replace(
+    "jobs=1", "jobs=2"
+)
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<tid>/children")
+def test_sigkill_driver_with_warm_workers_then_resume(tmp_path):
+    """SIGKILL the driver mid-flight: its warm workers exit at pipe EOF."""
+    store = tmp_path / "s"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ["src", env.get("PYTHONPATH", "")] if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WARM_DRIVER, str(store)],
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    )
+    records = store / "results.jsonl"
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            if proc.poll() is not None:
+                pytest.fail("campaign driver finished before it could be killed")
+            if records.exists() and records.read_text().count("\n") >= 1:
+                break
+            time.sleep(0.02)
+        else:
+            pytest.fail("campaign driver produced no result within 120s")
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+            workers = [int(pid) for pid in fh.read().split()]
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert len(workers) == 2
+
+    deadline = time.monotonic() + 60
+    while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = [pid for pid in workers if _running(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans, "orphaned workers kept running"
+
+    camp = Campaign.load(store)
+    done = camp.status().completed
+    assert 1 <= done < 3
+    run = camp.run(jobs=2)
+    assert run.executed == 3 - done and run.skipped == done
+    assert Campaign.load(store).run(jobs=2).executed == 0
+    lines = [json.loads(line) for line in records.read_text().splitlines()]
+    fingerprints = [r["fingerprint"] for r in lines if r["record"] == "result"]
+    assert len(fingerprints) == len(set(fingerprints)) == 3
+
+
 def test_driver_crash_between_specs_equivalent(tmp_path, monkeypatch):
     """Deterministic in-process variant: the driver dies after spec k."""
     camp = Campaign.grid(tmp_path / "s", CONFIG, mixes=["Q1", "Q2"],
                          schemes=["lru"], seeds=[0])
 
-    original = executor_module.run_workload
+    original = parallel_module.run_workload
     calls = []
 
     def die_after_first(*args, **kwargs):
@@ -105,11 +174,11 @@ def test_driver_crash_between_specs_equivalent(tmp_path, monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "run_workload", die_after_first)
+    monkeypatch.setattr(parallel_module, "run_workload", die_after_first)
     with pytest.raises(KeyboardInterrupt):
         camp.run(jobs=1)
 
-    monkeypatch.setattr(executor_module, "run_workload", original)
+    monkeypatch.setattr(parallel_module, "run_workload", original)
     resumed = Campaign.load(tmp_path / "s")
     assert resumed.status().completed == 1
     run = resumed.run(jobs=1)

@@ -1,6 +1,7 @@
 """ResultStore round-trip and durability semantics."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.campaign.store import (
     ResultStore,
     result_from_dict,
     result_to_dict,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.experiments.configs import machine
 from repro.experiments.parallel import RunSpec
@@ -105,6 +108,51 @@ class TestRoundTrip:
         fresh = tmp_path / "fresh.jsonl"
         telemetry_result.telemetry.write(fresh)
         assert trace.read_bytes() == fresh.read_bytes()
+
+
+#: A non-default value for every RunSpec field.
+NON_DEFAULT = {
+    "mix": ("mcf", "lbm", "milc", "gcc"),
+    "scheme": "prism-h",
+    "seed": 7,
+    "instructions": 1234,
+    "scheme_kwargs": {"probability_bits": 6},
+    "telemetry": True,
+    "check": True,
+    "backend": "vector",
+    "clusters": 2,
+}
+
+#: The keys every stored spec has carried since the first store format.
+PARENT_KEYS = ["mix", "scheme", "seed", "instructions", "scheme_kwargs", "telemetry", "check"]
+
+
+class TestSpecCodec:
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunSpec)])
+    def test_every_field_round_trips(self, name):
+        spec = replace(RunSpec("Q1"), **{name: NON_DEFAULT[name]})
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+    def test_default_spec_encodes_to_the_parent_keys(self):
+        data = spec_to_dict(RunSpec("Q1"))
+        assert list(data) == PARENT_KEYS
+        assert json.dumps(data) == (
+            '{"mix": "Q1", "scheme": "lru", "seed": 0, "instructions": null, '
+            '"scheme_kwargs": null, "telemetry": false, "check": false}'
+        )
+
+    def test_parent_format_loads(self):
+        parent = {"mix": ["mcf", "lbm"], "scheme": "dip", "seed": 1,
+                  "instructions": 500, "scheme_kwargs": None, "telemetry": False,
+                  "check": False}
+        assert spec_from_dict(parent) == RunSpec(
+            ("mcf", "lbm"), "dip", seed=1, instructions=500
+        )
+
+    def test_unknown_key_raises(self):
+        data = dict(spec_to_dict(RunSpec("Q1")), from_the_future=1)
+        with pytest.raises(ValueError, match="from_the_future"):
+            spec_from_dict(data)
 
 
 class TestFailures:

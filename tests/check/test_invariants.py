@@ -424,14 +424,15 @@ class TestCampaignWiring:
 
     def test_in_process_does_not_retry_violations(self, monkeypatch):
         from repro.campaign import executor
+        from repro.experiments import parallel
 
         calls = {"n": 0}
 
-        def violate(spec, config):
+        def violate(*args, **kwargs):
             calls["n"] += 1
             raise InvariantViolation("occupancy-recount", "forced by test")
 
-        monkeypatch.setattr(executor, "_run_one", violate)
+        monkeypatch.setattr(parallel, "run_workload", violate)
         spec = RunSpec(mix="Q1", scheme="lru", seed=0, instructions=1000)
         outcomes = list(executor.iter_isolated(
             [spec], machine(4), jobs=1, retries=3
@@ -445,14 +446,15 @@ class TestCampaignWiring:
 
     def test_in_process_still_retries_ordinary_errors(self, monkeypatch):
         from repro.campaign import executor
+        from repro.experiments import parallel
 
         calls = {"n": 0}
 
-        def flake(spec, config):
+        def flake(*args, **kwargs):
             calls["n"] += 1
             raise ValueError("transient for test")
 
-        monkeypatch.setattr(executor, "_run_one", flake)
+        monkeypatch.setattr(parallel, "run_workload", flake)
         spec = RunSpec(mix="Q1", scheme="lru", seed=0, instructions=1000)
         outcomes = list(executor.iter_isolated(
             [spec], machine(4), jobs=1, retries=2

@@ -8,6 +8,7 @@ figure exactly (no tolerances).
 """
 
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.experiments.parallel import (
     SpecRunError,
     parallel_compare_schemes,
     resolve_jobs,
+    run_spec,
     run_specs,
 )
 from repro.experiments.runner import DEFAULT_STANDALONE_CACHE, run_workload
@@ -151,6 +153,61 @@ class TestRunSpecs:
         run_specs(specs, CONFIG, jobs=1, progress=messages.append)
         assert len(messages) == 2
         assert "Q1" in messages[0] and "lru" in messages[0]
+
+
+#: A clustered shared-data spec: ``clusters`` changes its result.
+CLUSTERED = RunSpec("shared:smoke4", "prism-h", seed=1, instructions=20_000, clusters=2)
+
+
+class TestRunSpec:
+    """``run_spec`` is the one RunSpec -> run_workload translation."""
+
+    def test_every_field_reaches_run_workload(self, monkeypatch):
+        import repro.experiments.parallel as parallel_module
+
+        seen = {}
+        monkeypatch.setattr(
+            parallel_module, "run_workload", lambda **kwargs: seen.update(kwargs)
+        )
+        spec = RunSpec("Q1", "dip", seed=3, instructions=7, scheme_kwargs={"a": 1},
+                       telemetry=True, check=True, backend="vector", clusters=2)
+        run_spec(spec, CONFIG)
+        assert seen.pop("config") is CONFIG
+        assert seen == {f.name: getattr(spec, f.name) for f in fields(RunSpec)}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_clustered_spec_keeps_clusters(self, jobs):
+        from repro.campaign import run_isolated
+
+        config = machine(4)
+        [expected] = run_specs([CLUSTERED], config, jobs=1)
+        assert expected == run_workload(
+            "shared:smoke4", config, "prism-h", seed=1, instructions=20_000, clusters=2
+        )
+        per_core = run_workload("shared:smoke4", config, "prism-h", seed=1,
+                                instructions=20_000)
+        assert expected.antt != per_core.antt  # clusters changes the result
+        [outcome] = run_isolated([CLUSTERED], config, jobs=jobs)
+        assert outcome.result == expected
+        [both, _] = run_specs([CLUSTERED, RunSpec("Q1", instructions=INSTR)], config,
+                              jobs=jobs)
+        assert both == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_check_flag_attaches_the_checker(self, jobs, monkeypatch):
+        import repro.check.invariants as invariants
+
+        def refuse(cache):
+            raise RuntimeError("checker attached")
+
+        # Fork carries the patch into the workers.
+        monkeypatch.setattr(invariants, "attach_checker", refuse)
+        specs = [RunSpec("Q1", instructions=INSTR),
+                 RunSpec("Q2", instructions=INSTR, check=True)]
+        with pytest.raises(SpecRunError) as excinfo:
+            run_specs(specs, CONFIG, jobs=jobs)
+        assert excinfo.value.index == 1
+        assert "checker attached" in str(excinfo.value)
 
 
 class TestParallelIdenticalToSerial:

@@ -11,6 +11,7 @@ import collections
 from repro.campaign.campaign import Campaign
 from repro.campaign.store import ResultStore, result_to_dict
 from repro.experiments.configs import machine
+from repro.experiments.parallel import RunSpec, run_specs
 from repro.herd.controller import HerdController, shards_dir
 from repro.herd.protocol import shard_index
 from repro.herd.transport import LocalTransport
@@ -83,6 +84,39 @@ class TestHerdEquivalence:
         for root in shard_roots:
             streamed.update(result_payloads(root))
         assert streamed == result_payloads(tmp_path / "store")
+
+
+class TestSpecFieldsSurvive:
+    def test_clustered_spec_matches_run_specs(self, tmp_path):
+        config = machine(4)
+        spec = RunSpec("shared:smoke4", "prism-h", seed=1, instructions=20_000,
+                       clusters=2)
+        [expected] = run_specs([spec], config, jobs=1)
+        run = herd(Campaign(tmp_path / "s", config, [spec], retries=0), workers=1)
+        assert run.executed == 1 and run.failed == 0
+        loaded = Campaign.load(tmp_path / "s")
+        assert loaded.specs == [spec]
+        assert loaded.results() == [expected]
+        [stored] = ResultStore(tmp_path / "s").results()
+        assert stored.spec == spec
+
+    def test_backend_reaches_the_worker_and_the_store(self, tmp_path, monkeypatch):
+        import repro.experiments.parallel as parallel_module
+
+        original = parallel_module.run_workload
+
+        def vector_only(*args, **kwargs):
+            assert kwargs["backend"] == "vector", kwargs
+            return original(*args, **kwargs)
+
+        # Fork carries the patch into the local workers.
+        monkeypatch.setattr(parallel_module, "run_workload", vector_only)
+        specs = [RunSpec(mix, "prism-h", backend="vector") for mix in MIXES]
+        run = herd(Campaign(tmp_path / "s", CONFIG, specs, retries=0), workers=2)
+        assert run.executed == len(specs) and run.failed == 0
+        stored = {s.spec for s in ResultStore(tmp_path / "s").results()}
+        assert stored == set(specs)
+        assert Campaign.load(tmp_path / "s").specs == specs
 
 
 class TestDeadWorker:
