@@ -9,7 +9,8 @@ into:
 - :class:`~repro.cache.cache.SharedCache` — the shared last-level cache with
   per-core occupancy counters and interval bookkeeping,
 - replacement policies (:mod:`repro.cache.replacement`) — LRU, coarse
-  timestamp LRU, DIP (LIP/BIP with set dueling), SRRIP, random,
+  timestamp LRU, DIP (LIP/BIP with set dueling), tree PLRU and (as an
+  extension) SRRIP,
 - monitors — sampled per-core shadow tags with per-recency-position hit
   counters (:class:`~repro.cache.shadow.ShadowTagMonitor`), which double as
   UCP's UMON utility monitors,

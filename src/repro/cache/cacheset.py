@@ -10,15 +10,14 @@ O(1):
 - :meth:`fill_mru` / :meth:`fill_lru` — splice at either end;
 - :meth:`promote` / :meth:`promote_one` — hit promotion;
 - :meth:`evict` — unlink anywhere;
-- :meth:`lru_block` / :meth:`mru_block` — end peeks;
+- :meth:`lru_block` — the LRU-end peek;
 - :meth:`count_core` — incrementally maintained per-core counts.
 
-Positional helpers (:meth:`fill` with an explicit ``position``,
-:meth:`move_to`, :meth:`position_of`, the :attr:`blocks` list) are kept
-for tests, diagnostics and inherently positional policies such as PIPP;
-they walk the list from the nearer end and are **not** O(1). Policies
-should express themselves through the position-free operations above.
-MRU is position 0; LRU is position ``len - 1``.
+The one positional operation, :meth:`fill` with an explicit ``position``,
+serves inherently positional policies such as PIPP; it walks the list
+from the nearer end and is **not** O(1). Policies should express
+themselves through the position-free operations above. MRU is position
+0; LRU is position ``len - 1``.
 """
 
 from __future__ import annotations
@@ -100,38 +99,11 @@ class CacheSet:
             yield node
             node = node.prev
 
-    @property
-    def blocks(self) -> List[CacheBlock]:
-        """Recency-ordered valid blocks (index 0 = MRU), materialised.
-
-        A fresh list on every read — convenient for tests and diagnostics,
-        O(assoc) and therefore not for the access hot path.
-        """
-        return list(self)
-
     # -- occupancy queries ------------------------------------------------
 
     def count_core(self, core: int) -> int:
         """Number of valid blocks owned by ``core`` in this set (O(1))."""
         return self._core_counts.get(core, 0)
-
-    def blocks_of(self, core: int) -> List[CacheBlock]:
-        """Valid blocks owned by ``core``, in MRU→LRU order."""
-        return [b for b in self if b.core == core]
-
-    def first_of_core_lru(self, core: int) -> Optional[CacheBlock]:
-        """``core``'s LRU-most block, or ``None`` when it owns none here.
-
-        A direct linked-list walk from the LRU end — the common case of
-        PriSM's victim-identification step, O(victim depth) with no
-        generator or list overhead.
-        """
-        if not self._core_counts.get(core):
-            return None
-        node = self._tail.prev
-        while node.core != core:
-            node = node.prev
-        return node
 
     # -- mutation ---------------------------------------------------------
 
@@ -323,54 +295,6 @@ class CacheSet:
         prev.next = nxt
         nxt.prev = prev
 
-    def demote(self, block: CacheBlock) -> None:
-        """Move a resident block to the LRU position (O(1))."""
-        tail = self._tail
-        last = tail.prev
-        if last is block:
-            return
-        prev = block.prev
-        nxt = block.next
-        prev.next = nxt
-        nxt.prev = prev
-        block.prev = last
-        block.next = tail
-        last.next = block
-        tail.prev = block
-
-    def move_to(self, block: CacheBlock, position: int) -> None:
-        """Move a resident block to recency ``position`` (0 = MRU).
-
-        Positional compatibility helper (walks the list); hot paths use
-        :meth:`promote`/:meth:`promote_one`/:meth:`demote` instead.
-        """
-        prev = block.prev
-        nxt = block.next
-        prev.next = nxt
-        nxt.prev = prev
-        if position <= 0:
-            anchor = self._head.next
-        else:
-            anchor = self._head.next
-            tail = self._tail
-            i = 0
-            while anchor is not tail and i < position:
-                anchor = anchor.next
-                i += 1
-        self._link_before(block, anchor)
-
-    def position_of(self, block: CacheBlock) -> int:
-        """Current recency position of ``block`` (0 = MRU; O(position))."""
-        node = self._head.next
-        tail = self._tail
-        position = 0
-        while node is not tail:
-            if node is block:
-                return position
-            node = node.next
-            position += 1
-        raise ValueError(f"set {self.index}: block {block!r} is not resident")
-
     def lru_block(self) -> CacheBlock:
         """The block at the LRU position (O(1)).
 
@@ -380,17 +304,6 @@ class CacheSet:
         block = self._tail.prev
         if block is self._head:
             raise RuntimeError(f"set {self.index}: LRU of empty set")
-        return block
-
-    def mru_block(self) -> CacheBlock:
-        """The block at the MRU position (O(1)).
-
-        Raises:
-            RuntimeError: if the set is empty.
-        """
-        block = self._head.next
-        if block is self._tail:
-            raise RuntimeError(f"set {self.index}: MRU of empty set")
         return block
 
     # -- internals ---------------------------------------------------------

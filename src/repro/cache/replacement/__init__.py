@@ -8,50 +8,18 @@ core's blocks, which is exactly PriSM's victim-identification step).
 
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lru import LRUPolicy
-from repro.cache.replacement.random_policy import RandomPolicy
 from repro.cache.replacement.timestamp_lru import TimestampLRUPolicy
 from repro.cache.replacement.dip import BIPPolicy, DIPPolicy, LIPPolicy
 from repro.cache.replacement.plru import PLRUPolicy
-from repro.cache.replacement.srrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
+from repro.cache.replacement.srrip import SRRIPPolicy
 
 __all__ = [
     "ReplacementPolicy",
     "LRUPolicy",
-    "RandomPolicy",
     "TimestampLRUPolicy",
     "DIPPolicy",
     "BIPPolicy",
     "LIPPolicy",
     "PLRUPolicy",
     "SRRIPPolicy",
-    "BRRIPPolicy",
-    "DRRIPPolicy",
 ]
-
-_REGISTRY = {
-    "lru": LRUPolicy,
-    "random": RandomPolicy,
-    "tslru": TimestampLRUPolicy,
-    "dip": DIPPolicy,
-    "bip": BIPPolicy,
-    "lip": LIPPolicy,
-    "plru": PLRUPolicy,
-    "srrip": SRRIPPolicy,
-    "brrip": BRRIPPolicy,
-    "drrip": DRRIPPolicy,
-}
-
-
-def make_policy(name: str, **kwargs) -> ReplacementPolicy:
-    """Instantiate a replacement policy by registry name.
-
-    Args:
-        name: one of ``lru``, ``random``, ``tslru``, ``dip``, ``bip``,
-            ``lip``, ``srrip``.
-        kwargs: forwarded to the policy constructor.
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"unknown replacement policy {name!r}; known: {sorted(_REGISTRY)}")
-    return cls(**kwargs)

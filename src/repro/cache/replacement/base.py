@@ -3,8 +3,7 @@
 A policy answers three questions about a set:
 
 1. where does a newly filled block land in the recency order
-   (:meth:`insert_fill` — the position-free fast path; legacy policies may
-   instead express it as a recency index via :meth:`insertion_position`),
+   (:meth:`insert_fill`, fused with an eviction in :meth:`replace_fill`),
 2. what happens to a block on a hit (:meth:`on_hit`),
 3. in what order would the policy prefer to evict the resident blocks
    (:meth:`eviction_candidates`, a lazy best-victim-first iterable;
@@ -41,7 +40,7 @@ class ReplacementPolicy(ABC):
     name = "base"
     #: True when :meth:`eviction_candidates` is exactly the set's LRU→MRU
     #: recency walk. Lets PriSM's manager replace the candidate scan with a
-    #: direct linked-list walk (:meth:`CacheSet.first_of_core_lru`).
+    #: direct walk of the set's linked recency list.
     recency_ordered = False
 
     def bind(self, cache: "SharedCache") -> None:
@@ -62,26 +61,14 @@ class ReplacementPolicy(ABC):
 
     record_miss._hot_noop = True
 
-    def insertion_position(self, cset: "CacheSet", core: int) -> int:
-        """Recency position (0 = MRU) at which a fill by ``core`` lands.
-
-        Legacy/inspection API: the cache itself calls :meth:`insert_fill`,
-        whose default routes through this method, so policies defining only
-        ``insertion_position`` keep working.
-        """
-        return 0
-
     def insert_fill(self, cset: "CacheSet", tag: int, core: int) -> "CacheBlock":
         """Fill (``tag``, ``core``) into ``cset`` at the policy's position.
 
-        Fast policies override this with a direct
-        :meth:`~repro.cache.cacheset.CacheSet.fill_mru` /
-        :meth:`~repro.cache.cacheset.CacheSet.fill_lru` call.
+        The default inserts at MRU; insertion policies override this with
+        :meth:`~repro.cache.cacheset.CacheSet.fill_lru` or
+        :meth:`~repro.cache.cacheset.CacheSet.fill`.
         """
-        position = self.insertion_position(cset, core)
-        if position <= 0:
-            return cset.fill_mru(tag, core)
-        return cset.fill(tag, core, position)
+        return cset.fill_mru(tag, core)
 
     def replace_fill(
         self, cset: "CacheSet", victim: "CacheBlock", tag: int, core: int

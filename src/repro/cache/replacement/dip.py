@@ -35,9 +35,6 @@ class LIPPolicy(ReplacementPolicy):
     replace_fill = staticmethod(CacheSet.replace_lru)
     on_hit = staticmethod(CacheSet.hit_promote)
 
-    def insertion_position(self, cset, core: int) -> int:
-        return cset.assoc  # clamped to the tail by CacheSet.fill
-
     def victim(self, cset):
         return cset.lru_block()
 
@@ -58,11 +55,6 @@ class BIPPolicy(LIPPolicy):
             raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
         self.epsilon = epsilon
         self._rng = make_rng(seed, "bip")
-
-    def insertion_position(self, cset, core: int) -> int:
-        if self._rng.random() < self.epsilon:
-            return 0
-        return cset.assoc
 
     def insert_fill(self, cset, tag: int, core: int):
         if self._rng.random() < self.epsilon:
@@ -135,13 +127,6 @@ class DIPPolicy(ReplacementPolicy):
             self.psel += 1
         elif role == "bip" and self.psel > 0:
             self.psel -= 1
-
-    def insertion_position(self, cset, core: int) -> int:
-        if self._uses_bip(cset.index):
-            if self._rng.random() < self.epsilon:
-                return 0
-            return cset.assoc
-        return 0
 
     def insert_fill(self, cset, tag: int, core: int):
         if self._uses_bip(cset.index) and self._rng.random() >= self.epsilon:

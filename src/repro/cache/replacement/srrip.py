@@ -1,9 +1,8 @@
-"""SRRIP / BRRIP / DRRIP — re-reference interval prediction (Jaleel et al. [8]).
+"""SRRIP — static re-reference interval prediction (Jaleel et al. [8]).
 
-Included as extensions beyond the paper's LRU/timestamp-LRU/DIP set to
+Included as an extension beyond the paper's LRU/timestamp-LRU/DIP set to
 demonstrate (and test) that PriSM's core-selection step composes with a
-non-recency-list policy family. DRRIP set-duels SRRIP against BRRIP the
-same way DIP duels LRU against BIP.
+policy whose eviction order is not a recency-list walk.
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ from typing import List
 
 from repro.cache.cacheset import CacheSet
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.util.rng import make_rng
 
-__all__ = ["SRRIPPolicy", "BRRIPPolicy", "DRRIPPolicy"]
+__all__ = ["SRRIPPolicy"]
 
 
 class SRRIPPolicy(ReplacementPolicy):
@@ -56,87 +54,3 @@ class SRRIPPolicy(ReplacementPolicy):
                 b.rrpv += delta
         blocks.sort(key=lambda b: b.rrpv, reverse=True)
         return blocks
-
-
-class BRRIPPolicy(SRRIPPolicy):
-    """Bimodal RRIP: insert at distant RRPV, long-RRPV with prob ``epsilon``.
-
-    The RRIP counterpart of BIP — it protects against thrashing by letting
-    only an ``epsilon`` trickle of fills start anywhere near re-referencable.
-    """
-
-    name = "brrip"
-
-    def __init__(self, m: int = 2, epsilon: float = 1.0 / 32.0, seed: int = 0) -> None:
-        super().__init__(m)
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-        self.epsilon = epsilon
-        self._rng = make_rng(seed, "brrip")
-
-    def on_fill(self, cset, block, core: int) -> None:
-        if self._rng.random() < self.epsilon:
-            block.rrpv = self.max_rrpv - 1  # long re-reference (SRRIP insert)
-        else:
-            block.rrpv = self.max_rrpv      # distant: first in line to evict
-
-
-class DRRIPPolicy(SRRIPPolicy):
-    """Dynamic RRIP: set-duel SRRIP vs BRRIP with a PSEL counter."""
-
-    name = "drrip"
-
-    def __init__(
-        self,
-        m: int = 2,
-        epsilon: float = 1.0 / 32.0,
-        leader_sets: int = 4,
-        psel_bits: int = 10,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(m)
-        if leader_sets < 1:
-            raise ValueError(f"leader_sets must be >= 1, got {leader_sets}")
-        self.epsilon = epsilon
-        self.leader_sets = leader_sets
-        self.psel_max = (1 << psel_bits) - 1
-        self.psel = self.psel_max // 2
-        self._rng = make_rng(seed, "drrip")
-        self._role = {}
-
-    def bind(self, cache) -> None:
-        super().bind(cache)
-        num_sets = cache.geometry.num_sets
-        leaders = min(self.leader_sets, max(1, num_sets // 2))
-        stride = max(1, num_sets // (2 * leaders))
-        self._role = {}
-        for i in range(leaders):
-            self._role[(2 * i) * stride % num_sets] = "srrip"
-            self._role[(2 * i + 1) * stride % num_sets] = "brrip"
-
-    def role_of(self, set_index: int) -> str:
-        return self._role.get(set_index, "follow")
-
-    def _uses_brrip(self, set_index: int) -> bool:
-        role = self.role_of(set_index)
-        if role == "srrip":
-            return False
-        if role == "brrip":
-            return True
-        return self.psel > self.psel_max // 2
-
-    def record_miss(self, cset, core: int) -> None:
-        role = self.role_of(cset.index)
-        if role == "srrip" and self.psel < self.psel_max:
-            self.psel += 1
-        elif role == "brrip" and self.psel > 0:
-            self.psel -= 1
-
-    def on_fill(self, cset, block, core: int) -> None:
-        if self._uses_brrip(cset.index):
-            if self._rng.random() < self.epsilon:
-                block.rrpv = self.max_rrpv - 1
-            else:
-                block.rrpv = self.max_rrpv
-        else:
-            block.rrpv = self.max_rrpv - 1

@@ -62,11 +62,6 @@ class ShadowTagMonitor:
         self.shadow_misses: List[int] = [0] * num_cores
         self.shared_hits: List[int] = [0] * num_cores
         self.shared_misses: List[int] = [0] * num_cores
-        # Lifetime totals folded in at each interval end; the lifetime_*
-        # properties add the live interval so reads stay exact without the
-        # per-access increments.
-        self._lifetime_hits: List[int] = [0] * num_cores
-        self._lifetime_misses: List[int] = [0] * num_cores
         #: Specialised per-instance observe (shadows no class method; built
         #: last so every pinned structure above exists).
         self.observe = self._build_observe()
@@ -130,21 +125,6 @@ class ShadowTagMonitor:
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def lifetime_shadow_hits(self) -> List[int]:
-        """Per-core stand-alone hits over the whole run (never reset)."""
-        return [
-            base + sum(row)
-            for base, row in zip(self._lifetime_hits, self.position_hits)
-        ]
-
-    @property
-    def lifetime_shadow_misses(self) -> List[int]:
-        """Per-core stand-alone misses over the whole run (never reset)."""
-        return [
-            base + cur for base, cur in zip(self._lifetime_misses, self.shadow_misses)
-        ]
-
     def standalone_hits(self, core: int) -> int:
         """Interval stand-alone hits of ``core`` on the sampled sets."""
         return sum(self.position_hits[core])
@@ -175,8 +155,6 @@ class ShadowTagMonitor:
         """
         zero = self._zero_row
         for core, row in enumerate(self.position_hits):
-            self._lifetime_hits[core] += sum(row)
-            self._lifetime_misses[core] += self.shadow_misses[core]
             row[:] = zero
             self.shadow_misses[core] = 0
             self.shared_hits[core] = 0

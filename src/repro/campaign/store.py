@@ -57,7 +57,15 @@ from repro.experiments.runner import WorkloadResult
 from repro.metrics.tenancy import TenantSLOReport
 from repro.telemetry import FinishSample, IntervalSample, RunTelemetry
 
-__all__ = ["FailedRun", "RunMeta", "StoredResult", "ResultStore", "StoreMergeError"]
+__all__ = [
+    "FailedRun",
+    "RunMeta",
+    "StoredResult",
+    "ResultStore",
+    "StoreMergeError",
+    "result_record",
+    "failure_record",
+]
 
 #: results.jsonl schema version.
 STORE_FORMAT = 1
@@ -251,6 +259,46 @@ def result_from_dict(data: dict) -> WorkloadResult:
     )
 
 
+def result_record(
+    fingerprint: str, spec: RunSpec, result: WorkloadResult, meta: RunMeta
+) -> dict:
+    """The ``results.jsonl`` line of one completed run.
+
+    The single definition of the result-record layout: the store's own
+    appends, :meth:`ResultStore.merge` and herd workers all build it here.
+    """
+    return {
+        "record": "result",
+        "format": STORE_FORMAT,
+        "fingerprint": fingerprint,
+        "spec": spec_to_dict(spec),
+        "meta": {
+            "wall_seconds": meta.wall_seconds,
+            "host": meta.host,
+            "repro_version": meta.repro_version,
+            "created_at": meta.created_at,
+        },
+        "result": result_to_dict(result),
+    }
+
+
+def failure_record(failure: FailedRun) -> dict:
+    """The ``results.jsonl`` line of one failed run (see :func:`result_record`)."""
+    return {
+        "record": "failure",
+        "format": STORE_FORMAT,
+        "fingerprint": failure.fingerprint,
+        "spec": spec_to_dict(failure.spec),
+        "failure": {
+            "error_type": failure.error_type,
+            "message": failure.message,
+            "traceback": failure.traceback,
+            "attempts": failure.attempts,
+            "timed_out": failure.timed_out,
+        },
+    }
+
+
 # -- the store ---------------------------------------------------------------
 
 
@@ -364,6 +412,12 @@ class ResultStore:
                 if fcntl is not None:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
+    def _write_trace(self, fingerprint: str, result: WorkloadResult) -> None:
+        """Write ``traces/<fp>.jsonl`` for a result that carries telemetry."""
+        if result.telemetry is not None:
+            self.traces_dir.mkdir(parents=True, exist_ok=True)
+            result.telemetry.write(self.trace_path(fingerprint))
+
     def add_result(
         self,
         fingerprint: str,
@@ -373,24 +427,8 @@ class ResultStore:
     ) -> StoredResult:
         """Persist one completed run (and its telemetry trace, if any)."""
         meta = RunMeta.now(fingerprint, wall_seconds=wall_seconds)
-        self._append(
-            {
-                "record": "result",
-                "format": STORE_FORMAT,
-                "fingerprint": fingerprint,
-                "spec": spec_to_dict(spec),
-                "meta": {
-                    "wall_seconds": meta.wall_seconds,
-                    "host": meta.host,
-                    "repro_version": meta.repro_version,
-                    "created_at": meta.created_at,
-                },
-                "result": result_to_dict(result),
-            }
-        )
-        if result.telemetry is not None:
-            self.traces_dir.mkdir(parents=True, exist_ok=True)
-            result.telemetry.write(self.trace_path(fingerprint))
+        self._append(result_record(fingerprint, spec, result, meta))
+        self._write_trace(fingerprint, result)
         stored = StoredResult(fingerprint=fingerprint, spec=spec, result=result, meta=meta)
         self._results[fingerprint] = stored
         self._failures.pop(fingerprint, None)
@@ -398,21 +436,7 @@ class ResultStore:
 
     def add_failure(self, failure: FailedRun) -> None:
         """Persist one exhausted-retries failure record."""
-        self._append(
-            {
-                "record": "failure",
-                "format": STORE_FORMAT,
-                "fingerprint": failure.fingerprint,
-                "spec": spec_to_dict(failure.spec),
-                "failure": {
-                    "error_type": failure.error_type,
-                    "message": failure.message,
-                    "traceback": failure.traceback,
-                    "attempts": failure.attempts,
-                    "timed_out": failure.timed_out,
-                },
-            }
-        )
+        self._append(failure_record(failure))
         self._failures[failure.fingerprint] = failure
 
     # -- queries ------------------------------------------------------------
@@ -447,14 +471,17 @@ class ResultStore:
     def append_raw(self, record: dict) -> None:
         """Append one already-serialised record (and index it).
 
-        The record must be store-shaped (``record``/``fingerprint``/... as
-        written by :meth:`add_result`/:meth:`add_failure`); this is the
-        ingestion path for records that arrive over the wire (herd
-        workers) or from another store (:meth:`merge`) — no
-        deserialise/re-serialise round trip.
+        The record must be store-shaped, as built by :func:`result_record`
+        or :func:`failure_record`; this is the ingestion path for records
+        that arrive over the wire (herd workers) or from another store
+        (:meth:`merge`). A result record that carries telemetry gets its
+        trace file, exactly as :meth:`add_result` writes it.
         """
         self._append(record)
         self._index(record)
+        if record.get("record") == "result":
+            fingerprint = record["fingerprint"]
+            self._write_trace(fingerprint, self._results[fingerprint].result)
 
     def merge(self, shard: "ResultStore", on_conflict: str = "error") -> int:
         """Fold another store's records into this one; returns appends.
@@ -476,9 +503,10 @@ class ResultStore:
         - The shard's torn trailing line, if any, was already dropped by
           its loader.
 
-        Telemetry trace files travel with their records: a merged
-        fingerprint's ``traces/<fp>.jsonl`` is copied unless this store
-        already has one.
+        Telemetry trace files travel with their records: an appended
+        result that carries telemetry gets its ``traces/<fp>.jsonl`` from
+        :meth:`append_raw`, and any other shard trace file is copied
+        unless this store already has one.
         """
         if on_conflict not in ("error", "theirs"):
             raise ValueError(f"on_conflict must be 'error' or 'theirs', got {on_conflict!r}")
@@ -493,21 +521,7 @@ class ResultStore:
                     raise StoreMergeError(
                         fp, f"{shard.root} disagrees with {self.root}"
                     )
-            self.append_raw(
-                {
-                    "record": "result",
-                    "format": STORE_FORMAT,
-                    "fingerprint": fp,
-                    "spec": spec_to_dict(stored.spec),
-                    "meta": {
-                        "wall_seconds": stored.meta.wall_seconds,
-                        "host": stored.meta.host,
-                        "repro_version": stored.meta.repro_version,
-                        "created_at": stored.meta.created_at,
-                    },
-                    "result": result_to_dict(stored.result),
-                }
-            )
+            self.append_raw(result_record(fp, stored.spec, stored.result, stored.meta))
             appended += 1
             shard_trace = shard.trace_path(fp)
             mine_trace = self.trace_path(fp)

@@ -34,7 +34,7 @@ from repro.experiments import (
 )
 from repro.clustering import scaleout
 
-__all__ = ["Experiment", "EXPERIMENTS", "get_experiment"]
+__all__ = ["Experiment", "EXPERIMENTS"]
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,3 @@ EXPERIMENTS: Dict[str, Experiment] = {
                    scaleout.run, scaleout.format_result),
     ]
 }
-
-
-def get_experiment(experiment_id: str) -> Experiment:
-    """Look up an experiment by id.
-
-    Raises:
-        KeyError: listing the known ids.
-    """
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
-        ) from None

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.campaign.campaign import Campaign, machine_to_dict
 from repro.campaign.runner import cache_hit
-from repro.campaign.store import STORE_FORMAT, ResultStore, spec_to_dict
+from repro.campaign.store import FailedRun, ResultStore, failure_record, spec_to_dict
 from repro.herd.protocol import make_shard_doc, shard_specs
 from repro.herd.transport import LocalTransport, SshTransport, Transport, WorkerHandle
 
@@ -277,23 +277,18 @@ class HerdController:
             remaining.discard(fp)
             run.abandoned += 1
             run.failed += 1
-            record = {
-                "record": "failure",
-                "format": STORE_FORMAT,
-                "fingerprint": fp,
-                "spec": spec_to_dict(pending[fp]),
-                "failure": {
-                    "error_type": "WorkerDied",
-                    "message": (
-                        f"assigned worker(s) died {reassign_counts.get(fp, 0) + 1} "
-                        f"times (last: {worker_name}); giving up"
-                    ),
-                    "traceback": "",
-                    "attempts": reassign_counts.get(fp, 0) + 1,
-                    "timed_out": False,
-                },
-            }
-            campaign.store.append_raw(record)
+            deaths = reassign_counts.get(fp, 0) + 1
+            failure = FailedRun(
+                fingerprint=fp,
+                spec=pending[fp],
+                error_type="WorkerDied",
+                message=(
+                    f"assigned worker(s) died {deaths} times "
+                    f"(last: {worker_name}); giving up"
+                ),
+                attempts=deaths,
+            )
+            campaign.store.append_raw(failure_record(failure))
 
         def reassign_orphans(dead: _Worker) -> None:
             orphans = sorted(dead.assigned - dead.completed)

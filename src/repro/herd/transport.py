@@ -79,9 +79,15 @@ class Transport:
 # -- local: multiprocessing -------------------------------------------------
 
 
-def _local_child_main(conn, shard_doc: dict) -> None:
+def _local_child_main(conn, shard_doc: dict, inherited) -> None:
     """Child-process entry for the local transport."""
     import queue as queue_module
+
+    # Fork copied the controller's end of this pipe and of every earlier
+    # worker's; holding them would keep ``conn.recv()`` from ever seeing
+    # EOF, so a worker would outlive a killed controller.
+    for other in inherited:
+        other.close()
 
     from repro.herd.worker import worker_loop
 
@@ -137,13 +143,19 @@ class LocalTransport(Transport):
 
     name = "local"
 
+    def __init__(self) -> None:
+        self._conns: list = []  # controller-side ends of every launched pipe
+
     def launch(self, worker: str, shard_doc: dict, deliver: Deliver) -> WorkerHandle:
         from repro.campaign.executor import fork_context
 
         ctx = fork_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
+        self._conns.append(parent_conn)
         process = ctx.Process(
-            target=_local_child_main, args=(child_conn, shard_doc), daemon=True
+            target=_local_child_main,
+            args=(child_conn, shard_doc, self._conns),
+            daemon=True,
         )
         process.start()
         child_conn.close()

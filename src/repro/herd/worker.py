@@ -33,7 +33,13 @@ from typing import Callable, List, Optional
 
 from repro.campaign.campaign import machine_from_dict
 from repro.campaign.executor import run_attempts
-from repro.campaign.store import STORE_FORMAT, result_to_dict, spec_from_dict
+from repro.campaign.store import (
+    FailedRun,
+    RunMeta,
+    failure_record,
+    result_record,
+    spec_from_dict,
+)
 from repro.herd.protocol import check_shard_doc
 
 __all__ = ["worker_loop", "stdio_worker_main"]
@@ -77,36 +83,24 @@ def _heartbeat_thread(
 
 def _run_entry(entry: dict, config, retries: int) -> dict:
     """Execute one shard entry; returns a store-shaped record dict."""
-    outcome = run_attempts(0, spec_from_dict(entry["spec"]), config, retries)
-    record = {
-        "record": "result" if outcome.ok else "failure",
-        "format": STORE_FORMAT,
-        "fingerprint": entry["fingerprint"],
-        "spec": entry["spec"],
-    }
+    fingerprint = entry["fingerprint"]
+    spec = spec_from_dict(entry["spec"])
+    outcome = run_attempts(0, spec, config, retries)
     if outcome.ok:
-        record["meta"] = {
-            "wall_seconds": outcome.wall_seconds,
-            "host": socket.gethostname(),
-            "repro_version": _repro_version(),
-            "created_at": time.time(),
-        }
-        record["result"] = result_to_dict(outcome.result)
-    else:
-        record["failure"] = {
-            "error_type": outcome.error.error_type,
-            "message": outcome.error.message,
-            "traceback": outcome.error.traceback,
-            "attempts": outcome.attempts,
-            "timed_out": outcome.error.timed_out,
-        }
-    return record
-
-
-def _repro_version() -> str:
-    from repro import __version__
-
-    return __version__
+        meta = RunMeta.now(fingerprint, wall_seconds=outcome.wall_seconds)
+        return result_record(fingerprint, spec, outcome.result, meta)
+    error = outcome.error
+    return failure_record(
+        FailedRun(
+            fingerprint=fingerprint,
+            spec=spec,
+            error_type=error.error_type,
+            message=error.message,
+            traceback=error.traceback,
+            attempts=outcome.attempts,
+            timed_out=error.timed_out,
+        )
+    )
 
 
 def worker_loop(

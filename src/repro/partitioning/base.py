@@ -39,22 +39,15 @@ class ManagementScheme:
     def attach(self, cache: "SharedCache") -> None:
         """Bind the scheme to ``cache`` and run scheme-specific setup."""
         self.cache = cache
-        # Legacy schemes express placement as a recency index via
-        # insertion_position(); route the position-free insert_fill() through
-        # it so they keep working without the O(assoc) cost for everyone else.
         cls = type(self)
         base = ManagementScheme
-        self._legacy_insert = (
-            cls.insertion_position is not base.insertion_position
-            and cls.insert_fill is base.insert_fill
-        )
         # Resolve the per-access hooks once (before on_attach, which may
         # already re-wire the cache by registering monitors): a scheme that
         # does not override a hook hands the cache the *policy's* bound
         # method directly, so the hot path never pays for a delegation hop
         # through this base class.
         policy = cache.policy
-        defers_insert = cls.insert_fill is base.insert_fill and not self._legacy_insert
+        defers_insert = cls.insert_fill is base.insert_fill
         self._resolved_insert = policy.insert_fill if defers_insert else self.insert_fill
         self._resolved_replace = (
             policy.replace_fill
@@ -78,18 +71,11 @@ class ManagementScheme:
         """Choose the victim block for a miss by ``core`` in a full set."""
         return self.cache.policy.victim(cset)
 
-    def insertion_position(self, cset: "CacheSet", core: int) -> int:
-        """Recency position for the incoming block (legacy/inspection API)."""
-        return self.cache.policy.insertion_position(cset, core)
-
     def insert_fill(self, cset: "CacheSet", tag: int, core: int) -> "CacheBlock":
         """Fill (``tag``, ``core``) into ``cset`` where the scheme wants it.
 
-        Defaults to the baseline policy's placement; schemes that only
-        override :meth:`insertion_position` are routed through it.
+        Defaults to the baseline policy's placement.
         """
-        if self._legacy_insert:
-            return cset.fill(tag, core, self.insertion_position(cset, core))
         return self.cache.policy.insert_fill(cset, tag, core)
 
     def replace_fill(

@@ -80,12 +80,8 @@ class PIPPScheme(ManagementScheme):
 
     # -- enforcement ------------------------------------------------------
 
-    def insertion_position(self, cset, core: int) -> int:
-        """Priority pi counts from the LRU end; recency position inverts it."""
-        pi = 1 if self.streaming[core] else self.pi[core]
-        return max(0, cset.assoc - pi)
-
     def insert_fill(self, cset, tag: int, core: int):
+        """Priority pi counts from the LRU end; recency position inverts it."""
         pi = 1 if self.streaming[core] else self.pi[core]
         return cset.fill(tag, core, max(0, cset.assoc - pi))
 

@@ -88,13 +88,6 @@ class TADIPPolicy(ReplacementPolicy):
         elif kind == "bip" and self.psel[owner] > 0:
             self.psel[owner] -= 1
 
-    def insertion_position(self, cset, core: int) -> int:
-        if self._uses_bip(cset.index, core):
-            if self._rng.random() < self.epsilon:
-                return 0
-            return cset.assoc
-        return 0
-
     def insert_fill(self, cset, tag: int, core: int):
         if self._uses_bip(cset.index, core) and self._rng.random() >= self.epsilon:
             return cset.fill_lru(tag, core)

@@ -17,8 +17,6 @@ excluded from equality comparison and from serialized traces.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -237,31 +235,19 @@ class RunTelemetry:
         for sample in self.finishes:
             yield sample.to_row()
 
-    def write_jsonl(self, path: Union[str, Path]) -> Path:
-        """Write the trace as JSON lines (one record per line)."""
-        path = Path(path)
-        with open(path, "w") as fh:
-            for row in self.rows():
-                fh.write(json.dumps(row) + "\n")
-        return path
-
-    def write_csv(self, path: Union[str, Path]) -> Path:
-        """Write the trace as CSV with the :data:`TRACE_FIELDS` columns."""
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=TRACE_FIELDS, restval="")
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow(row)
-        return path
-
     def write(self, path: Union[str, Path]) -> Path:
         """Write the trace, picking the format from the extension.
 
         ``.csv`` writes CSV; anything else (``.jsonl`` recommended) writes
-        JSON lines.
+        JSON lines. The rows go through the same file sink a live
+        recording streams into (:func:`~repro.telemetry.sinks.open_sink`).
         """
-        path = Path(path)
-        if path.suffix.lower() == ".csv":
-            return self.write_csv(path)
-        return self.write_jsonl(path)
+        from repro.telemetry.sinks import open_sink
+
+        sink = open_sink(path)
+        try:
+            for row in self.rows():
+                sink.write_row(row)
+        finally:
+            sink.close()
+        return sink.path

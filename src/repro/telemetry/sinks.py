@@ -2,11 +2,10 @@
 
 A sink receives one flat row dict per record, in the canonical trace
 order (interval samples as they happen, finish samples at run end). The
-file sinks emit exactly the same bytes as the post-hoc
-:meth:`RunTelemetry.write_jsonl` / :meth:`RunTelemetry.write_csv`
-writers, so a live serial recording and a trace written from a
-worker-returned :class:`RunTelemetry` are interchangeable —
-byte-identical for the same simulation.
+post-hoc :meth:`RunTelemetry.write` writes through the same file sinks,
+so a live serial recording and a trace written from a worker-returned
+:class:`RunTelemetry` are interchangeable — byte-identical for the same
+simulation.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import Dict, List
 from repro.util.rng import make_rng
 from repro.workloads.spec import PROFILES, profiles_by_category
 
-__all__ = ["MIXES", "get_mix", "mixes_for_cores", "describe_mix"]
+__all__ = ["MIXES", "get_mix", "mixes_for_cores"]
 
 _QUAD: Dict[str, List[str]] = {
     "Q1": ["168.wupwise", "416.gamess", "403.gcc", "401.bzip2"],
@@ -93,21 +93,6 @@ def get_mix(name: str) -> List[str]:
         return list(MIXES[name])
     except KeyError:
         raise KeyError(f"unknown mix {name!r}; known: {sorted(MIXES)}") from None
-
-
-def describe_mix(name: str) -> Dict[str, int]:
-    """Category composition of a mix (e.g. ``{"friendly": 2, ...}``).
-
-    Raises:
-        KeyError: for unknown mix names.
-    """
-    from repro.workloads.spec import get_profile
-
-    composition: Dict[str, int] = {}
-    for member in get_mix(name):
-        category = get_profile(member).category
-        composition[category] = composition.get(category, 0) + 1
-    return composition
 
 
 def mixes_for_cores(cores: int) -> List[str]:

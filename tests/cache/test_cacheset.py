@@ -19,18 +19,18 @@ class TestFill:
     def test_fill_inserts_at_mru_by_default(self, cset):
         cset.fill(1, core=0)
         cset.fill(2, core=0)
-        assert [b.tag for b in cset.blocks] == [2, 1]
+        assert [b.tag for b in cset] == [2, 1]
 
     def test_fill_at_position(self, cset):
         cset.fill(1, core=0)
         cset.fill(2, core=0)
         cset.fill(3, core=0, position=2)  # LRU end
-        assert [b.tag for b in cset.blocks] == [2, 1, 3]
+        assert [b.tag for b in cset] == [2, 1, 3]
 
     def test_fill_position_past_end_clamps_to_lru(self, cset):
         cset.fill(1, core=0)
         cset.fill(2, core=0, position=99)
-        assert [b.tag for b in cset.blocks] == [1, 2]
+        assert [b.tag for b in cset] == [1, 2]
 
     def test_fill_duplicate_tag_raises(self, cset):
         cset.fill(7, core=0)
@@ -54,7 +54,7 @@ class TestEvict:
     def test_evict_frees_way(self, cset):
         for tag in range(4):
             cset.fill(tag, core=0)
-        victim = cset.blocks[-1]
+        victim = list(cset)[-1]
         cset.evict(victim)
         assert not cset.full
         assert cset.lookup(victim.tag) is None
@@ -75,26 +75,6 @@ class TestEvict:
 
 
 class TestRecency:
-    def test_move_to_front(self, cset):
-        cset.fill(1, core=0)
-        cset.fill(2, core=0)
-        b1 = cset.lookup(1)
-        cset.move_to(b1, 0)
-        assert [b.tag for b in cset.blocks] == [1, 2]
-
-    def test_move_to_back(self, cset):
-        cset.fill(1, core=0)
-        cset.fill(2, core=0)
-        b2 = cset.lookup(2)
-        cset.move_to(b2, 5)
-        assert [b.tag for b in cset.blocks] == [1, 2]
-
-    def test_position_of(self, cset):
-        cset.fill(1, core=0)
-        cset.fill(2, core=0)
-        assert cset.position_of(cset.lookup(2)) == 0
-        assert cset.position_of(cset.lookup(1)) == 1
-
     def test_lru_block(self, cset):
         cset.fill(1, core=0)
         cset.fill(2, core=0)
@@ -113,12 +93,6 @@ class TestOccupancyQueries:
         assert cset.count_core(0) == 1
         assert cset.count_core(1) == 2
         assert cset.count_core(2) == 0
-
-    def test_blocks_of_in_recency_order(self, cset):
-        cset.fill(1, core=1)
-        cset.fill(2, core=0)
-        cset.fill(3, core=1)
-        assert [b.tag for b in cset.blocks_of(1)] == [3, 1]
 
     def test_iteration_covers_valid_blocks(self, cset):
         for tag in range(3):

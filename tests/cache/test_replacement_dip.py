@@ -10,13 +10,22 @@ from repro.cache.replacement.lru import LRUPolicy
 from repro.util.rng import make_rng
 
 
+def lands_at_mru(policy, cset, core=0):
+    """Fill one block through ``policy.insert_fill`` into a set that already
+    holds another, report whether it landed at MRU, and evict it again."""
+    block = policy.insert_fill(cset, 1 << 30, core)
+    at_mru = next(iter(cset)) is block
+    cset.evict(block)
+    return at_mru
+
+
 class TestLIP:
     def test_inserts_at_lru_end(self):
         policy = LIPPolicy()
         cset = CacheSet(0, 4)
-        cset.fill(1, core=0, position=policy.insertion_position(cset, 0))
-        cset.fill(2, core=0, position=policy.insertion_position(cset, 0))
-        assert [b.tag for b in cset.blocks] == [1, 2]
+        policy.insert_fill(cset, 1, 0)
+        policy.insert_fill(cset, 2, 0)
+        assert [b.tag for b in cset] == [1, 2]
 
     def test_protects_working_set_from_scan(self):
         """LIP's raison d'etre: a one-pass scan cannot displace the hot set."""
@@ -49,14 +58,16 @@ class TestBIP:
     def test_mostly_lru_inserts(self):
         policy = BIPPolicy(epsilon=1 / 32, seed=1)
         cset = CacheSet(0, 16)
-        positions = [policy.insertion_position(cset, 0) for _ in range(3200)]
-        mru_fraction = sum(1 for p in positions if p == 0) / len(positions)
+        cset.fill(0, core=0)
+        at_mru = [lands_at_mru(policy, cset) for _ in range(3200)]
+        mru_fraction = sum(at_mru) / len(at_mru)
         assert mru_fraction == pytest.approx(1 / 32, abs=0.02)
 
     def test_epsilon_one_is_plain_lru_insertion(self):
         policy = BIPPolicy(epsilon=1.0, seed=1)
         cset = CacheSet(0, 4)
-        assert all(policy.insertion_position(cset, 0) == 0 for _ in range(50))
+        cset.fill(0, core=0)
+        assert all(lands_at_mru(policy, cset) for _ in range(50))
 
 
 class TestDIPDueling:

@@ -1,4 +1,4 @@
-"""Tests for LRU and random replacement, including the stack property."""
+"""Tests for LRU replacement, including the stack property."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.cache.cache import SharedCache
 from repro.cache.cacheset import CacheSet
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.lru import LRUPolicy
-from repro.cache.replacement.random_policy import RandomPolicy
 from repro.util.rng import make_rng
 
 
@@ -14,7 +13,9 @@ class TestLRUPolicy:
     def test_insertion_at_mru(self):
         policy = LRUPolicy()
         cset = CacheSet(0, 4)
-        assert policy.insertion_position(cset, core=0) == 0
+        cset.fill(1, core=0)
+        block = policy.insert_fill(cset, 2, core=0)
+        assert list(cset) == [block, cset.lookup(1)]
 
     def test_eviction_order_is_reverse_recency(self):
         policy = LRUPolicy()
@@ -42,7 +43,7 @@ class TestLRUPolicy:
         for tag in range(3):
             cset.fill(tag, core=0)
         policy.on_hit(cset, cset.lookup(0), core=0)
-        assert cset.blocks[0].tag == 0
+        assert list(cset)[0].tag == 0
 
 
 class TestStackProperty:
@@ -61,46 +62,3 @@ class TestStackProperty:
                 assert small_hits <= hits
             small_hits = hits
 
-
-class TestRandomPolicy:
-    def test_eviction_order_is_permutation(self):
-        policy = RandomPolicy(seed=5)
-        cset = CacheSet(0, 8)
-        for tag in range(8):
-            cset.fill(tag, core=0)
-        order = policy.eviction_order(cset)
-        assert sorted(b.tag for b in order) == list(range(8))
-
-    def test_hits_leave_order_untouched(self):
-        policy = RandomPolicy(seed=5)
-        cset = CacheSet(0, 4)
-        for tag in range(3):
-            cset.fill(tag, core=0)
-        before = [b.tag for b in cset.blocks]
-        policy.on_hit(cset, cset.lookup(0), core=0)
-        assert [b.tag for b in cset.blocks] == before
-
-    def test_deterministic_under_seed(self):
-        def run(seed):
-            policy = RandomPolicy(seed=seed)
-            cache = SharedCache(CacheGeometry(2 << 10, 64, 4), 1, policy=policy)
-            rng = make_rng(1, "s")
-            return sum(cache.access(0, rng.randrange(150)).hit for _ in range(3000))
-
-        assert run(9) == run(9)
-
-    def test_random_worse_than_lru_on_local_stream(self):
-        # A working set slightly above capacity: LRU-with-locality beats random.
-        geometry = CacheGeometry(2 << 10, 64, 4)  # 32 blocks
-
-        def hits(policy):
-            cache = SharedCache(geometry, 1, policy=policy)
-            rng = make_rng(2, "zipf")
-            count = 0
-            for _ in range(8000):
-                # 90% of accesses to a hot 24-block region, 10% to a cold tail.
-                addr = rng.randrange(24) if rng.random() < 0.9 else 24 + rng.randrange(400)
-                count += cache.access(0, addr).hit
-            return count
-
-        assert hits(LRUPolicy()) > hits(RandomPolicy(seed=3))

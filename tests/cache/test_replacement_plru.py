@@ -4,7 +4,6 @@ import pytest
 
 from repro.cache.cache import SharedCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import make_policy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.plru import PLRUPolicy
 from repro.core.allocation import HitMaxPolicy
@@ -58,9 +57,6 @@ class NaivePLRU:
 
 
 class TestPLRUUnit:
-    def test_registry_builds_it(self):
-        assert isinstance(make_policy("plru"), PLRUPolicy)
-
     def test_rejects_non_power_of_two_assoc(self):
         class FakeGeometry:
             assoc = 3

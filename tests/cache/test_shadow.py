@@ -107,15 +107,6 @@ class TestSharedCounters:
         monitor.observe(0, 0, 1, shared_hit=False)
         assert monitor.standalone_hits(0) == 1
 
-    def test_lifetime_counters_survive_interval_reset(self):
-        monitor = ShadowTagMonitor(1, num_sets=8, assoc=4, sample_shift=0)
-        monitor.observe(0, 0, 1, shared_hit=False)
-        monitor.observe(0, 0, 1, shared_hit=False)
-        monitor.end_interval()
-        assert monitor.lifetime_shadow_misses[0] == 1
-        assert monitor.lifetime_shadow_hits[0] == 1
-
-
 class TestAgainstRealCache:
     def test_shadow_matches_private_cache_exactly(self):
         """On sampled sets, the shadow emulation must equal a real private

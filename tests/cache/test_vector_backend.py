@@ -19,6 +19,7 @@ import pytest
 from repro.cache.cache import SharedCache
 from repro.cache.encode import encode_trace
 from repro.cache.geometry import CacheGeometry
+from repro.cache.shadow import ShadowTagMonitor
 from repro.cache.replacement.dip import DIPPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.srrip import SRRIPPolicy
@@ -75,16 +76,14 @@ def _assert_equivalent(classic, vector, kind):
         assert list(classic.scheme.targets) == list(vector.scheme.targets)
         assert ma.replacements == mb.replacements
         assert ma.victim_not_found == mb.victim_not_found
-        shadows_a = [m for m in classic.monitors
-                     if hasattr(m, "lifetime_shadow_hits")]
-        shadows_b = [m for m in vector.monitors
-                     if hasattr(m, "lifetime_shadow_hits")]
-        assert len(shadows_a) == len(shadows_b)
+        shadows_a = [m for m in classic.monitors if isinstance(m, ShadowTagMonitor)]
+        shadows_b = [m for m in vector.monitors if isinstance(m, ShadowTagMonitor)]
+        assert shadows_a and len(shadows_a) == len(shadows_b)
         for sa, sb in zip(shadows_a, shadows_b):
             assert sa.shared_hits == sb.shared_hits
             assert sa.shared_misses == sb.shared_misses
-            assert sa.lifetime_shadow_hits == sb.lifetime_shadow_hits
-            assert sa.lifetime_shadow_misses == sb.lifetime_shadow_misses
+            assert sa.position_hits == sb.position_hits
+            assert sa.shadow_misses == sb.shadow_misses
     if kind in ("dip", "prism-dip"):
         assert classic.policy.psel == vector.policy.psel
 

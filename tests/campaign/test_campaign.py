@@ -210,16 +210,6 @@ class TestStoreBackedRunSpecs:
         # And the round-tripped copies on the next call still match.
         assert run_specs(self.SPECS, CONFIG, store=tmp_path / "s") == plain
 
-    def test_run_seeds_on_store(self, tmp_path, monkeypatch):
-        from repro.experiments.multi_seed import run_seeds
-
-        sweep = run_seeds("Q1", CONFIG, "lru", seeds=(0, 1), store=tmp_path / "s")
-        calls = _counting(monkeypatch, parallel_module)
-        again = run_seeds("Q1", CONFIG, "lru", seeds=(0, 1), store=tmp_path / "s")
-        assert len(calls) == 0
-        assert again.results == sweep.results
-        assert again.metrics == sweep.metrics
-
     def test_telemetry_request_upgrades_cached_result(self, tmp_path):
         """A trace-less cached result does not satisfy a telemetry spec."""
         store = tmp_path / "s"

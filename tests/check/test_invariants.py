@@ -193,7 +193,7 @@ def shared_checked_cache(every=1, engine="classic"):
 
 def first_block(cache):
     for cset in cache.sets:
-        for block in cset.blocks:
+        for block in list(cset):
             return block
     raise AssertionError("cache is empty")
 

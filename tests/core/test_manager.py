@@ -11,7 +11,7 @@ def full_set(owners):
     """A full set whose blocks (MRU->LRU) belong to the given cores."""
     cset = CacheSet(0, len(owners))
     for tag, core in enumerate(owners):
-        cset.fill(tag, core=core, position=len(cset.blocks))
+        cset.fill(tag, core=core, position=len(cset))
     return cset
 
 
@@ -85,7 +85,7 @@ class TestVictimSelection:
         # MRU->LRU: [1, 0, 1, 0]; core 1's LRU-most block is at position 2.
         cset = full_set([1, 0, 1, 0])
         victim = manager.select_victim(cset, LRUPolicy())
-        assert victim is cset.blocks[2]
+        assert victim is list(cset)[2]
 
     def test_paper_fallback_when_core_absent(self):
         manager = ProbabilisticCacheManager(2, seed=4, fallback="paper")
@@ -116,7 +116,7 @@ class TestVictimSelection:
         victim = manager.select_victim(cset, LRUPolicy())
         # Core 1 never present: E restricted to present cores is empty
         # (core 0 has E=0) -> baseline victim, still counted as not-found.
-        assert victim is cset.blocks[-1]
+        assert victim is list(cset)[-1]
         assert manager.victim_not_found == 1
 
     def test_resample_fallback_skips_zero_probability_cores(self):
@@ -150,7 +150,7 @@ class TestVictimSelection:
         cset = full_set([0, 1, 0, 1])  # nobody in the set has E > 0... except none
         victim = manager.select_victim(cset, LRUPolicy())
         # Falls through to the baseline LRU victim (the LRU-most block).
-        assert victim is cset.blocks[-1]
+        assert victim is list(cset)[-1]
 
     def test_not_found_rate(self):
         manager = ProbabilisticCacheManager(2, seed=4)

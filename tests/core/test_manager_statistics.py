@@ -16,7 +16,7 @@ from repro.core.manager import ProbabilisticCacheManager
 def fixed_set(owners):
     cset = CacheSet(0, len(owners))
     for tag, core in enumerate(owners):
-        cset.fill(tag, core=core, position=len(cset.blocks))
+        cset.fill(tag, core=core, position=len(cset))
     return cset
 
 

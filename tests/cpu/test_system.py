@@ -61,7 +61,7 @@ class TestRun:
         system.run(10000)
         for cset in cache.sets:
             owners = {}
-            for block in cset.blocks:
+            for block in list(cset):
                 owners.setdefault(block.tag, set()).add(block.core)
         # Footprints are identical but offset: occupancy split is sane.
         assert cache.occupancy[0] > 0 and cache.occupancy[1] > 0

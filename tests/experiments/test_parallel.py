@@ -14,7 +14,6 @@ import pytest
 
 from repro.experiments.common import compare_schemes
 from repro.experiments.configs import machine
-from repro.experiments.multi_seed import run_seeds
 from repro.experiments.parallel import (
     JOBS_ENV,
     RunSpec,
@@ -263,12 +262,3 @@ class TestParallelIdenticalToSerial:
         serial[0].telemetry.write(serial_path)
         parallel[0].telemetry.write(parallel_path)
         assert serial_path.read_bytes() == parallel_path.read_bytes()
-
-    def test_run_seeds_bit_identical(self):
-        serial = run_seeds("Q1", CONFIG, "prism-h", seeds=(0, 1), instructions=INSTR)
-        DEFAULT_STANDALONE_CACHE.clear()
-        parallel = run_seeds(
-            "Q1", CONFIG, "prism-h", seeds=(0, 1), instructions=INSTR, jobs=2
-        )
-        assert serial.results == parallel.results
-        assert serial.metrics == parallel.metrics

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.options import RunOptions
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.registry import EXPERIMENTS
 
 #: Micro budgets: one or two mixes, tiny instruction windows. These verify
 #: that every figure's pipeline runs end to end and produces shaped rows;
@@ -41,13 +41,6 @@ class TestRegistry:
         assert "tenants" in EXPERIMENTS
         assert "headroom" in EXPERIMENTS
         assert "scaleout" in EXPERIMENTS
-
-    def test_lookup(self):
-        assert get_experiment("fig7").title.startswith("PriSM vs Vantage")
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError, match="known"):
-            get_experiment("fig99")
 
     def test_micro_budgets_cover_registry(self):
         assert set(MICRO) == set(EXPERIMENTS)

@@ -86,6 +86,25 @@ class TestHerdEquivalence:
         assert streamed == result_payloads(tmp_path / "store")
 
 
+class TestTelemetryTraces:
+    def test_herd_writes_the_serial_trace_files(self, tmp_path):
+        """A telemetry campaign leaves the same ``traces/<fp>.jsonl`` bytes
+        whether it ran serially or through a herd worker."""
+        config = machine(4, instructions=3_000)
+
+        def grid(root):
+            return Campaign.grid(root, config, mixes=["Q1"], schemes=["prism-h"],
+                                 telemetry=True)
+
+        grid(tmp_path / "serial").run(jobs=1)
+        run = herd(grid(tmp_path / "fleet"), workers=1)
+        assert run.executed == 1 and run.failed == 0
+        serial = sorted((tmp_path / "serial" / "traces").iterdir())
+        assert len(serial) == 1
+        fleet = tmp_path / "fleet" / "traces" / serial[0].name
+        assert fleet.read_bytes() == serial[0].read_bytes()
+
+
 class TestSpecFieldsSurvive:
     def test_clustered_spec_matches_run_specs(self, tmp_path):
         config = machine(4)

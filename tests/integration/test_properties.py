@@ -15,7 +15,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import (
     DIPPolicy,
     LRUPolicy,
-    RandomPolicy,
+    PLRUPolicy,
     SRRIPPolicy,
     TimestampLRUPolicy,
 )
@@ -83,9 +83,9 @@ def test_stack_invariants(scheme_name, stream):
     assert cache.occupancy == cache.state().recount()
     assert sum(cache.occupancy) <= cache.geometry.num_blocks
     for cset in cache.sets:
-        assert len(cset.blocks) <= cset.assoc
-        assert len(cset._by_tag) == len(cset.blocks)
-        for block in cset.blocks:
+        assert len(list(cset)) <= cset.assoc
+        assert len(cset._by_tag) == len(list(cset))
+        for block in list(cset):
             assert block.valid
             assert cset.lookup(block.tag) is block
             assert 0 <= block.core < NUM_CORES
@@ -149,7 +149,7 @@ def test_same_stream_same_result(stream, seed):
     assert run() == run()
 
 
-@pytest.mark.parametrize("policy_cls", [LRUPolicy, DIPPolicy, SRRIPPolicy, RandomPolicy])
+@pytest.mark.parametrize("policy_cls", [LRUPolicy, DIPPolicy, SRRIPPolicy, PLRUPolicy])
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(stream=access_streams)
 def test_prism_agnostic_to_policy(policy_cls, stream):

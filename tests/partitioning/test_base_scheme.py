@@ -63,7 +63,7 @@ class TestUnmanagedEquivalence:
                 cache.set_scheme(scheme)
             hits = sum(cache.access(c, (c << 20) + a).hit for c, a in stream)
             contents = [
-                sorted((b.tag, b.core) for b in cset.blocks) for cset in cache.sets
+                sorted((b.tag, b.core) for b in list(cset)) for cset in cache.sets
             ]
             return hits, contents
 

@@ -17,22 +17,37 @@ def make(num_cores=2, **kwargs):
     return cache, scheme
 
 
+def position(cset, block):
+    """Recency position of ``block`` (0 = MRU)."""
+    return len(cset) - 1 - list(cset.iter_lru_to_mru()).index(block)
+
+
+def fill_position(scheme, cset, core):
+    """Where ``scheme.insert_fill`` places a fill by ``core``; undone after."""
+    block = scheme.insert_fill(cset, 1 << 30, core)
+    at = position(cset, block)
+    cset.evict(block)
+    return at
+
+
 class TestInsertion:
     def test_insertion_position_inverts_priority(self):
         cache, scheme = make()
         scheme.pi = [6, 2]
         cset = cache.sets[0]
-        for tag in range(8):
-            cset.fill(tag, core=0, position=len(cset.blocks))
-        assert scheme.insertion_position(cset, 0) == 2  # assoc 8 - pi 6
-        assert scheme.insertion_position(cset, 1) == 6
+        for tag in range(7):
+            cset.fill(tag, core=0, position=len(cset))
+        assert fill_position(scheme, cset, 0) == 2  # assoc 8 - pi 6
+        assert fill_position(scheme, cset, 1) == 6
 
     def test_streaming_core_inserts_at_priority_one(self):
         cache, scheme = make()
         scheme.pi = [6, 6]
         scheme.streaming[1] = True
         cset = cache.sets[0]
-        assert scheme.insertion_position(cset, 1) == 7  # assoc 8 - 1
+        for tag in range(7):
+            cset.fill(tag, core=0, position=len(cset))
+        assert fill_position(scheme, cset, 1) == 7  # assoc 8 - 1
 
     def test_initial_pi_is_equal_split(self):
         cache, scheme = make(num_cores=4)
@@ -44,28 +59,28 @@ class TestPromotion:
         cache, scheme = make(prom_prob=1.0)
         cset = cache.sets[0]
         for tag in range(4):
-            cset.fill(tag, core=0, position=len(cset.blocks))
-        block = cset.blocks[2]
+            cset.fill(tag, core=0, position=len(cset))
+        block = list(cset)[2]
         scheme.on_hit(cset, block, core=0)
-        assert cset.position_of(block) == 1
+        assert position(cset, block) == 1
 
     def test_no_promotion_past_mru(self):
         cache, scheme = make(prom_prob=1.0)
         cset = cache.sets[0]
         cset.fill(1, core=0)
-        block = cset.blocks[0]
+        block = list(cset)[0]
         scheme.on_hit(cset, block, core=0)
-        assert cset.position_of(block) == 0
+        assert position(cset, block) == 0
 
     def test_promotion_probability_respected(self):
         cache, scheme = make(prom_prob=0.0)
         cset = cache.sets[0]
         for tag in range(4):
-            cset.fill(tag, core=0, position=len(cset.blocks))
-        block = cset.blocks[3]
+            cset.fill(tag, core=0, position=len(cset))
+        block = list(cset)[3]
         for _ in range(20):
             scheme.on_hit(cset, block, core=0)
-        assert cset.position_of(block) == 3  # never promoted
+        assert position(cset, block) == 3  # never promoted
 
 
 class TestAllocationAndStreaming:
@@ -98,8 +113,8 @@ class TestAllocationAndStreaming:
         cache, scheme = make()
         cset = cache.sets[0]
         for tag in range(8):
-            cset.fill(tag, core=0, position=len(cset.blocks))
-        assert scheme.select_victim(cset, 1) is cset.blocks[-1]
+            cset.fill(tag, core=0, position=len(cset))
+        assert scheme.select_victim(cset, 1) is list(cset)[-1]
 
     def test_pseudo_partition_protects_reuse_core(self):
         """End-to-end: the reuse core keeps a larger share than the

@@ -15,6 +15,15 @@ def make(num_cores=2, **kwargs):
     return cache, policy
 
 
+def lands_at_mru(policy, cset, core):
+    """Fill one block by ``core`` through ``policy.insert_fill`` next to a
+    resident one, report whether it landed at MRU, and evict it again."""
+    block = policy.insert_fill(cset, 1 << 30, core)
+    at_mru = next(iter(cset)) is block
+    cset.evict(block)
+    return at_mru
+
+
 class TestLeaderLayout:
     def test_every_core_has_both_leader_kinds(self):
         cache, policy = make(num_cores=4, leader_sets=2)
@@ -57,9 +66,10 @@ class TestPerCorePsel:
         cset = cache.sets[follower]
         policy.psel[0] = policy.psel_max  # core 0 -> BIP
         policy.psel[1] = 0                # core 1 -> LRU
-        assert policy.insertion_position(cset, 1) == 0
-        positions = {policy.insertion_position(cset, 0) for _ in range(100)}
-        assert cset.assoc in positions  # mostly LRU-insert under BIP
+        cset.fill(0, core=0)
+        assert lands_at_mru(policy, cset, 1)
+        at_mru = {lands_at_mru(policy, cset, 0) for _ in range(100)}
+        assert False in at_mru  # mostly LRU-insert under BIP
 
     def test_leader_set_pins_owner_policy(self):
         cache, policy = make()
@@ -68,7 +78,9 @@ class TestPerCorePsel:
         )
         policy.psel[0] = policy.psel_max  # PSEL says BIP...
         # ...but in its own LRU leader set, core 0 must use LRU insertion.
-        assert policy.insertion_position(cache.sets[lru_leader], 0) == 0
+        cset = cache.sets[lru_leader]
+        cset.fill(0, core=0)
+        assert lands_at_mru(policy, cset, 0)
 
 
 class TestEndToEnd:

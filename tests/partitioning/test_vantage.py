@@ -91,7 +91,7 @@ class TestReplacementBehaviour:
         for i in range(8):
             cache.access(0, i * s)
         # Demote one specific block by hand.
-        target = cset.blocks[3]
+        target = list(cset)[3]
         target.managed = False
         scheme.managed_count[0] -= 1
         scheme.targets = [1e9, 1e9]  # apertures 0: no further demotions
@@ -115,7 +115,7 @@ class TestReplacementBehaviour:
             cache.access(core, (core << 20) + rng.randrange(1500))
         actual = [0, 0]
         for cset in cache.sets:
-            for block in cset.blocks:
+            for block in list(cset):
                 if block.managed:
                     actual[block.core] += 1
         assert scheme.managed_count == actual

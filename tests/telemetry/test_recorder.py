@@ -201,7 +201,7 @@ class TestSinks:
         result = run_workload(
             "Q1", self.CFG, "prism-h", scheme_kwargs=self.KW, telemetry=recorder
         )
-        post_path = result.telemetry.write_csv(tmp_path / "post.csv")
+        post_path = result.telemetry.write(tmp_path / "post.csv")
         assert live_path.read_bytes() == post_path.read_bytes()
 
     def test_timing_populated_by_system_run(self):

@@ -124,13 +124,13 @@ class TestSerialization:
 
     def test_jsonl_round_trip(self, tmp_path):
         trace = trace_with(2)
-        path = trace.write_jsonl(tmp_path / "trace.jsonl")
+        path = trace.write(tmp_path / "trace.jsonl")
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows == list(trace.rows())
 
     def test_csv_has_all_columns(self, tmp_path):
         trace = trace_with(1)
-        path = trace.write_csv(tmp_path / "trace.csv")
+        path = trace.write(tmp_path / "trace.csv")
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 interval rows + 2 finish rows

@@ -71,24 +71,3 @@ class TestWorkloadConstructionAPI:
                      "slo_attainment", "tenant_hit_rates", "DEFAULT_SLO_FRACTION"):
             assert name in metrics.__all__, name
 
-
-class TestPolicyRegistry:
-    def test_make_policy_known_names(self):
-        from repro.cache.replacement import make_policy
-
-        for name in ("lru", "plru", "random", "tslru", "dip", "bip", "lip",
-                     "srrip", "brrip", "drrip"):
-            policy = make_policy(name)
-            assert policy.name in (name, "lip", "bip")  # names match registry keys
-
-    def test_make_policy_kwargs(self):
-        from repro.cache.replacement import make_policy
-
-        policy = make_policy("dip", epsilon=1 / 16)
-        assert policy.epsilon == 1 / 16
-
-    def test_make_policy_unknown(self):
-        from repro.cache.replacement import make_policy
-
-        with pytest.raises(ValueError, match="known"):
-            make_policy("clairvoyant")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.mixes import MIXES, describe_mix, get_mix, mixes_for_cores
+from repro.workloads.mixes import MIXES, get_mix, mixes_for_cores
 from repro.workloads.spec import PROFILES, get_profile, profiles_by_category
 
 
@@ -105,16 +105,6 @@ class TestMixes:
     def test_unsupported_core_count_raises(self):
         with pytest.raises(ValueError):
             mixes_for_cores(6)
-
-    def test_describe_mix_counts_categories(self):
-        composition = describe_mix("Q7")
-        assert sum(composition.values()) == 4
-        assert composition.get("friendly", 0) >= 1
-        assert composition.get("streaming", 0) >= 1
-
-    def test_describe_unknown_mix(self):
-        with pytest.raises(KeyError):
-            describe_mix("Q99")
 
     def test_numeric_ordering(self):
         names = mixes_for_cores(16)
