@@ -12,7 +12,10 @@ Also runnable directly (no pytest-benchmark needed)::
 which times every scenario best-of-N (``time.perf_counter``, one untimed
 warm-up round first), times the workload streams' bulk ``take`` against
 per-call ``next_access()``, runs the classic and vector backends side by side
-on the wide backend-comparison scenarios with their speedup ratio, and
+on the wide backend-comparison scenarios with their speedup ratio, times
+both engines and both vector routes at the drivers' geometries (64 to
+4,096 sets, report only: median, min and max over ``--rounds``; left out
+of ``--check-floors`` runs), and
 *appends* a run entry (keyed by git SHA) to ``BENCH_speed.json`` — the
 trajectory artifact CI archives so hot-path throughput accumulates per
 PR instead of being overwritten. ``--check-floors`` turns the run into
@@ -249,6 +252,173 @@ def run_backends(accesses: int = 400_000, rounds: int = 2) -> dict:
     return results
 
 
+# -- driver-geometry scenarios (report only) ---------------------------------
+#
+# The geometries the drivers actually build: every default machine() LLC
+# has 64 or 128 sets of 16 to 64 ways, and the vector engine's route
+# depends on the set count. Each row times the classic engine and both
+# routes of the vector engine over the same pre-encoded trace, each
+# building its engine inside the timed call, and names the route the
+# vector engine takes on auto. No floor: these rows locate the set count
+# below which auto replays strict-order schemes per access.
+
+DRIVER_SETS = (64, 128, 256, 512, 1024, 2048, 4096)
+DRIVER_CORES = 8
+
+
+def _driver_geometry(num_sets):
+    return CacheGeometry(num_sets * 16 * 64, 64, 16)
+
+
+def _uniform_trace(geometry, accesses, seed=11):
+    """Every core draws uniformly over twice the cache's blocks."""
+    from repro.cache.encode import encode_accesses
+
+    rng = make_rng(seed, "speed-driver")
+    span = 2 * geometry.num_blocks
+    cores = [rng.randrange(DRIVER_CORES) for _ in range(accesses)]
+    addrs = [rng.randrange(span) for _ in range(accesses)]
+    return encode_accesses(cores, addrs, geometry)
+
+
+def _hot_trace(geometry, accesses, seed=7):
+    """95% of accesses go to a shared pool of 15% of the cache's blocks,
+    the rest uniformly over a 16 M-block space: a hit-heavy trace at
+    every size, like ``_wide_stream`` scaled to the geometry."""
+    from repro.cache.encode import encode_accesses
+
+    rng = make_rng(seed, "speed-driver-hot")
+    hot = max(1, geometry.num_blocks * 15 // 100)
+    cores = [rng.randrange(DRIVER_CORES) for _ in range(accesses)]
+    addrs = [
+        rng.randrange(hot) if rng.random() < 0.95 else rng.getrandbits(24)
+        for _ in range(accesses)
+    ]
+    return encode_accesses(cores, addrs, geometry)
+
+
+def _web8_trace(geometry, accesses, seed=1):
+    """The tenants:web8 shared trace (Zipfian and scan tenants): about
+    half of PriSM's replacements sample a core with no block in the set
+    and take the victim-not-found fallback."""
+    import numpy as np
+
+    from repro.cache.encode import encode_accesses
+    from repro.workloads.registry import resolve_workload
+
+    chunks = list(resolve_workload("tenants:web8").chunks(accesses, seed))
+    cores = np.concatenate([c for c, _ in chunks])
+    addrs = np.concatenate([a for _, a in chunks])
+    return encode_accesses(cores, addrs, geometry)
+
+
+#: name -> (trace builder, registry scheme the drivers build).
+DRIVER_SCENARIOS = {
+    "web8_prism": (_web8_trace, "prism-h"),
+    "web8_dip": (_web8_trace, "dip"),
+    "uniform_prism": (_uniform_trace, "prism-h"),
+    "uniform_dip": (_uniform_trace, "dip"),
+    "hot_prism": (_hot_trace, "prism-h"),
+    "hot_dip": (_hot_trace, "dip"),
+}
+
+
+class _PerAccessProbe:
+    """A per-access monitor that does nothing. Attaching it sends the
+    vector engine's ``access_many`` down the per-access route at any set
+    count (as the invariant checker does); its call costs less than the
+    run-to-run noise of these rows."""
+
+    def observe(self, core, set_index, tag, hit):
+        pass
+
+
+def _timings(run, rounds):
+    """Wall-clock of ``rounds`` timed calls, after one untimed warm-up."""
+    import time
+
+    run()
+    out = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        run()
+        out.append(time.perf_counter() - start)
+    return out
+
+
+def _spread(seconds):
+    from statistics import median
+
+    return {
+        "median_s": round(median(seconds), 4),
+        "min_s": round(min(seconds), 4),
+        "max_s": round(max(seconds), 4),
+    }
+
+
+def run_driver_geometries(accesses: int = 100_000, rounds: int = 3) -> dict:
+    """Classic vs both vector routes at the drivers' geometries.
+
+    The batch column passes the chunk the engine picks when it batches on
+    auto (:func:`repro.cache.vector.auto_chunk`); the per-access column
+    attaches :class:`_PerAccessProbe`. ``auto_route`` is the route the
+    engine takes with neither, i.e. which of the two columns a driver
+    gets.
+    """
+    from repro.cache.backends import build_cache
+    from repro.cache.vector import VectorCache, auto_chunk
+    from repro.experiments.schemes import build_scheme
+
+    results = {}
+    for name, (make_trace, scheme_name) in DRIVER_SCENARIOS.items():
+        for num_sets in DRIVER_SETS:
+            geometry = _driver_geometry(num_sets)
+            trace = make_trace(geometry, accesses)
+
+            def engine(backend, chunk=None):
+                scheme, policy = build_scheme(
+                    scheme_name, DRIVER_CORES, [1.0] * DRIVER_CORES
+                )
+                if backend == "classic":
+                    cache, _ = build_cache(
+                        geometry, DRIVER_CORES, policy=policy, scheme=scheme
+                    )
+                    return cache
+                return VectorCache(
+                    geometry, DRIVER_CORES, policy=policy, scheme=scheme,
+                    chunk=chunk,
+                )
+
+            def batch():
+                cache = engine("vector", auto_chunk(num_sets, free_order=False))
+                assert not cache.per_access
+                cache.access_many(trace)
+
+            def per_access():
+                cache = engine("vector")
+                cache.add_monitor(_PerAccessProbe())
+                assert cache.per_access
+                cache.access_many(trace)
+
+            columns = {
+                "classic": lambda: engine("classic").access_many(trace),
+                "vector_batch": batch,
+                "vector_per_access": per_access,
+            }
+            row = {
+                "trace": name.split("_")[0],
+                "scheme": scheme_name,
+                "sets": num_sets,
+                "accesses": len(trace),
+                "rounds": rounds,
+                "auto_route": "per-access" if engine("vector").per_access else "batch",
+            }
+            for column, run in columns.items():
+                row[column] = _spread(_timings(run, rounds))
+            results[f"{name}_{num_sets}"] = row
+    return results
+
+
 def run_standalone(accesses: int = 100_000, rounds: int = 3) -> dict:
     """Best-of-``rounds`` accesses/second for every classic-only scenario."""
     rng = make_rng(1, "speed")
@@ -411,12 +581,26 @@ def main(argv=None) -> int:
                     f"below floor {row['floor']:.2f}x"
                 )
 
+    driver = {}
+    if not args.skip_backends and not args.check_floors:
+        # Report-only rows gate nothing, so a gating run leaves them out.
+        driver = run_driver_geometries(accesses=args.accesses, rounds=args.rounds)
+        print("\ndriver geometries (median s over rounds, report only):")
+        print(f"{'scenario':>20} {'classic':>8} {'batch':>8} {'per-acc':>8}"
+              f"  auto route")
+        for name, row in driver.items():
+            print(f"{name:>20} {row['classic']['median_s']:>8.3f} "
+                  f"{row['vector_batch']['median_s']:>8.3f} "
+                  f"{row['vector_per_access']['median_s']:>8.3f}  "
+                  f"{row['auto_route']}")
+
     entry = {
         "sha": _git_sha(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "scenarios": classic_only,
         "streams": streams,
         "backends": backends,
+        "driver": driver,
     }
     doc = _append_trajectory(args.output, entry)
     print(f"\nwrote {args.output} ({len(doc['runs'])} run(s) in trajectory)")

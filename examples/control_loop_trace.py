@@ -72,8 +72,12 @@ def main() -> None:
 
     c0 = trace.series("occupancy", 0)
     half = len(c0) // 2
-    print(f"\ncore 0 mean occupancy: friendly phase {sum(c0[:half]) / half:.3f} "
-          f"-> compute phase {sum(c0[half:]) / (len(c0) - half):.3f}")
+    if half:
+        print(f"\ncore 0 mean occupancy: friendly phase {sum(c0[:half]) / half:.3f} "
+              f"-> compute phase {sum(c0[half:]) / (len(c0) - half):.3f}")
+    else:
+        print(f"\ncore 0 mean occupancy: {len(c0)} interval(s), too few to "
+              f"split by phase (raise --phase-length)")
 
     if args.csv:
         print(f"wrote {args.csv}")

@@ -6,9 +6,11 @@ Two engines implement the same shared-cache semantics:
   time over an intrusive-list object model. Supports every policy, scheme
   and monitor in the repo.
 - ``"vector"`` — :class:`~repro.cache.vector.VectorCache`, numpy-backed
-  state replayed in batches. Several times faster on batch replays, but
-  only for the configurations it can represent (LRU/DIP baselines,
-  PriSM or no scheme; any monitor).
+  state, replayed per access or in vectorised batches depending on the
+  geometry and the scheme. Only for the configurations it can represent
+  (LRU/DIP baselines, PriSM or no scheme; any monitor). Which engine is
+  faster depends on the LLC's set count: see ``docs/simulator.md``
+  ("Backends") for measurements at the drivers' geometries.
 
 The two are certified bit-exact by ``repro-sim check fuzz --backend
 vector`` (see :mod:`repro.check.differential`), which is why the backend

@@ -3,11 +3,21 @@
 :class:`VectorCache` represents every set's state as flat arrays — per-set
 tag/owner/age matrices of shape ``(num_sets, assoc)``, a per-set valid-way
 count, and (under PriSM) a per-set-per-core residency-count matrix — and
-replays a pre-encoded trace (:mod:`repro.cache.encode`) in chunks instead
-of one access at a time. It is certified **bit-exact** against the classic
-:class:`~repro.cache.cache.SharedCache` and the naive
-:mod:`repro.check.reference` oracle by ``repro-sim check fuzz --backend
-vector`` for every supported scheme.
+replays a pre-encoded trace (:mod:`repro.cache.encode`). It is certified
+**bit-exact** against the classic :class:`~repro.cache.cache.SharedCache`
+and the naive :mod:`repro.check.reference` oracle by ``repro-sim check
+fuzz --backend vector`` for every supported scheme.
+
+Routes
+------
+
+``access_many`` replays a batch by one of two routes over the same arrays:
+**per access** (``_replay_scalar`` → ``_scalar_access``, in slices of
+``_SLICE`` accesses, reading and writing the arrays through flat
+memoryviews bound once at construction) or **batch** (``_chunk_strict`` /
+``_chunk_free``, described below). :attr:`VectorCache.per_access` picks
+the route; its docstring and ``docs/simulator.md`` ("Backends") give the
+rule and the measurements behind it.
 
 Recency encoding
 ----------------
@@ -77,7 +87,7 @@ engine. Monitors are always accepted: shadow tags replay from the batch
 machinery's deferred queues, interval-level monitors (``observe`` tagged
 ``_hot_noop``) only see boundaries, and any other per-access monitor —
 the invariant checker of ``--check`` runs — sends batches down the
-scalar path, so ``state()`` is exact whenever it observes an access.
+per-access route, so ``state()`` is exact whenever it observes an access.
 """
 
 from __future__ import annotations
@@ -96,10 +106,34 @@ from repro.cache.replacement.dip import DIPPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.stats import CacheStats
 
-__all__ = ["BatchResults", "VectorCache", "VectorUnsupported"]
+__all__ = ["BatchResults", "VectorCache", "VectorUnsupported", "auto_chunk"]
 
 #: Sentinel larger than any stamp (stamps are bounded by total accesses).
 _FAR = np.int64(1) << 62
+_FAR_INT = int(_FAR)
+
+#: Below this many sets, an auto-chunked strict-order replay (PriSM, DIP,
+#: PriSM over DIP) runs per access instead of in batches. Below it the
+#: per-access route wins or ties on every PriSM trace in the driver rows of
+#: benchmarks/bench_simulator_speed.py; from it up, a hit-heavy PriSM
+#: trace runs faster in batches (docs/simulator.md, "Backends").
+_BATCH_MIN_SETS = 2048
+
+#: Accesses per slice of a per-access replay (bounds its int lists).
+_SLICE = 1024
+
+
+def auto_chunk(num_sets: int, free_order: bool) -> int:
+    """The batch route's chunk length when ``chunk`` is left on auto.
+
+    Free order re-batches tainted accesses recursively, so big chunks only
+    cost extra rounds; strict order replays tainted accesses scalar, so the
+    chunk is kept small enough that few accesses follow their set's first
+    miss.
+    """
+    if free_order:
+        return max(256, min(8192, 2 * num_sets))
+    return max(64, min(4096, num_sets // 4))
 
 
 class VectorUnsupported(ValueError):
@@ -148,16 +182,18 @@ class VectorCache:
             ``DIPPolicy``; anything else raises
             :class:`VectorUnsupported`).
         scheme: optional management scheme (``PrismScheme`` only).
-        chunk: batch granularity override (default: auto from geometry).
+        chunk: batch granularity; given explicitly, every replay takes
+            the batch route (default: route and granularity chosen from
+            the geometry, see :attr:`per_access`).
         core_map: optional cluster map (:mod:`repro.clustering`):
             ``core_map[real_core]`` is the accounting group charged for
             the core's blocks. Applied as one vectorised index
             translation at batch entry, so the slab fast paths run
             unchanged at cluster granularity.
         track_sharers: maintain per-block sharer bitmasks. Replays run
-            through the (equally certified) scalar path — the slab fast
-            paths stay reserved for exclusive-ownership replays, which is
-            what the speed floors measure. Capped at 64 accounting
+            through the (equally certified) per-access route — the slab
+            fast paths stay reserved for exclusive-ownership replays,
+            which is what the speed floors measure. Capped at 64 accounting
             owners (uint64 masks), matching the 16-64 core scale-out.
     """
 
@@ -263,6 +299,21 @@ class VectorCache:
         self._arange = np.arange(0, dtype=np.int64)
         self._reset_pending()
 
+        # Flat memoryviews over the same buffers, for the per-access route:
+        # element reads and writes through them are plain Python ints, an
+        # order of magnitude cheaper than numpy scalar indexing. They alias
+        # the arrays, so state() and check_integrity() see every write.
+        self._vtags = memoryview(self._tags.reshape(-1))
+        self._vowners = memoryview(self._owners.reshape(-1))
+        self._vages = memoryview(self._ages_flat)
+        self._vnvalid = memoryview(self._nvalid)
+        self._vmru_tag = memoryview(self._mru_tag)
+        self._vmru_way = memoryview(self._mru_way)
+        self._vsharers = (
+            memoryview(self._sharers.reshape(-1)) if self.track_sharers else None
+        )
+        self._vcounts = None
+
         self._chunk = chunk
         self.policy.bind(self)
         if scheme is not None:
@@ -286,6 +337,7 @@ class VectorCache:
         self._mgr = scheme.manager
         self._cum_np = np.asarray(self._mgr._cumulative, dtype=np.float64)
         self._counts = np.zeros((self.num_sets, self.num_cores), dtype=np.int64)
+        self._vcounts = memoryview(self._counts.reshape(-1))
         self._order = [[] for _ in range(self.num_sets)]
         self._seen = [0] * self.num_sets
 
@@ -504,11 +556,12 @@ class VectorCache:
             self._didx = 0
 
     def _next_draw(self) -> float:
-        if self._didx >= len(self._draws):
-            self._ensure_draws(1)
-        value = float(self._draws[self._didx])
-        self._didx += 1
-        return value
+        """The manager's next draw: the FIFO's head, else a fresh one."""
+        i = self._didx
+        if i < len(self._draws):
+            self._didx = i + 1
+            return float(self._draws[i])
+        return self._mgr._rng.random()
 
     # -- scalar path --------------------------------------------------------
 
@@ -532,19 +585,19 @@ class VectorCache:
         ``pos`` is the absolute stamp (1-based global access position).
         With ``defer`` the shadow observation is queued for the ordered
         flush; counters for misses (and tainted hits) are immediate either
-        way — the deferred queues only ever hold *clean* hits.
+        way — the deferred queues only ever hold *clean* hits. Every read
+        and write goes through the flat memoryviews: way ``w`` of set
+        ``s`` is element ``s * assoc + w``.
         """
-        if self._mru_tag[s] == t:  # the hint tag is always resident
-            w = int(self._mru_way[s])
+        assoc = self.assoc
+        base = s * assoc
+        if self._vmru_tag[s] == t:  # the hint tag is always resident
+            w = self._vmru_way[s]
             hit = True
         else:
-            row = self._tags[s].tolist()
-            try:
-                w = row.index(t)
-                hit = True
-            except ValueError:
-                w = -1
-                hit = False
+            row = self._vtags[base : base + assoc].tolist()
+            hit = t in row
+            w = row.index(t) if hit else -1
         if self._shadows and self._is_sampled(s):
             if defer:
                 self._pe_pos.append(pos)
@@ -561,11 +614,11 @@ class VectorCache:
 
         if hit:
             self.stats.hits[c] += 1
-            self._ages[s, w] = pos
-            self._mru_tag[s] = t
-            self._mru_way[s] = w
-            if self._sharers is not None:
-                self._sharers[s, w] |= np.uint64(1 << c)
+            self._vages[base + w] = pos
+            self._vmru_tag[s] = t
+            self._vmru_way[s] = w
+            if self._vsharers is not None:
+                self._vsharers[base + w] |= 1 << c
             return True, -1, -1
 
         self.stats.misses[c] += 1
@@ -581,27 +634,28 @@ class VectorCache:
 
         ecore = -1
         eaddr = -1
-        counts = self._counts
-        if self._nvalid[s] < self.assoc:
-            w = int(self._nvalid[s])
-            self._nvalid[s] += 1
+        counts = self._vcounts
+        w = self._vnvalid[s]
+        if w < assoc:
+            self._vnvalid[s] = w + 1
             if counts is not None:
                 self._note_core(s, c)
-                counts[s, c] += 1
+                counts[s * self.num_cores + c] += 1
         else:
             if self._mgr is not None:
-                w = self._prism_victim(s)
+                w = self._prism_victim(s, base)
             else:
-                ages = self._ages[s].tolist()
+                ages = self._vages[base : base + assoc].tolist()
                 w = ages.index(min(ages))
-            ecore = int(self._owners[s, w])
-            eaddr = (int(self._tags[s, w]) << self._tag_shift) | s
+            ecore = self._vowners[base + w]
+            eaddr = (self._vtags[base + w] << self._tag_shift) | s
             self.occupancy[ecore] -= 1
             self.stats.evictions[ecore] += 1
             if counts is not None and ecore != c:
-                counts[s, ecore] -= 1
+                row_base = s * self.num_cores
+                counts[row_base + ecore] -= 1
                 self._note_core(s, c)
-                counts[s, c] += 1
+                counts[row_base + c] += 1
         self._fill(s, w, t, c, pos, dip)
         self.occupancy[c] += 1
 
@@ -615,10 +669,11 @@ class VectorCache:
 
     def _fill(self, s: int, w: int, t: int, c: int, pos: int, dip) -> None:
         """Place (tag, core) into way ``w`` at the policy's position."""
-        self._tags[s, w] = t
-        self._owners[s, w] = c
-        if self._sharers is not None:
-            self._sharers[s, w] = np.uint64(1 << c)
+        i = s * self.assoc + w
+        self._vtags[i] = t
+        self._vowners[i] = c
+        if self._vsharers is not None:
+            self._vsharers[i] = 1 << c
         if dip is not None:
             role = dip._role.get(s, "follow")
             if role == "lru":
@@ -628,14 +683,12 @@ class VectorCache:
             else:
                 bip = dip.psel > dip.psel_max // 2
             if bip and dip._rng.random() >= dip.epsilon:
+                # LRU-insert: a stamp below every stamp already issued.
                 self._low -= 1
-                self._ages[s, w] = self._low
-                self._mru_tag[s] = t
-                self._mru_way[s] = w
-                return
-        self._ages[s, w] = pos
-        self._mru_tag[s] = t
-        self._mru_way[s] = w
+                pos = self._low
+        self._vages[i] = pos
+        self._vmru_tag[s] = t
+        self._vmru_way[s] = w
 
     def _is_sampled(self, s: int) -> bool:
         for mask in self._shadow_masks:
@@ -650,15 +703,17 @@ class VectorCache:
             self._seen[s] |= bit
             self._order[s].append(core)
 
-    def _prism_victim(self, s: int) -> int:
-        """Two-step replacement on a full set; returns the victim way."""
+    def _prism_victim(self, s: int, base: int) -> int:
+        """Two-step replacement on full set ``s`` (first element ``base``
+        in the flat views); returns the victim way."""
         mgr = self._mgr
         mgr.replacements += 1
         target = bisect_right(mgr._cumulative, self._next_draw())
         self._note_core(s, target)
-        owners = self._owners[s].tolist()
-        ages = self._ages[s].tolist()
-        if self._counts[s, target] > 0:
+        assoc = self.assoc
+        owners = self._vowners[base : base + assoc].tolist()
+        ages = self._vages[base : base + assoc].tolist()
+        if self._vcounts[s * self.num_cores + target]:
             return self._core_lru_way(owners, ages, target)
         return self._prism_fallback(s, owners, ages)
 
@@ -668,39 +723,45 @@ class VectorCache:
         mgr.victim_not_found += 1
         probabilities = mgr.probabilities
         if mgr.fallback == "paper":
-            for w in sorted(range(self.assoc), key=ages.__getitem__):
-                if probabilities[owners[w]] > 0.0:
-                    return w
-            return ages.index(min(ages))
-        counts = self._counts
+            # The LRU-most block of any core with a non-zero probability.
+            best = _FAR_INT
+            way = -1
+            for w, owner in enumerate(owners):
+                if probabilities[owner] > 0.0 and ages[w] < best:
+                    best = ages[w]
+                    way = w
+            return way if way >= 0 else ages.index(min(ages))
+        # Resample E over the cores present, in count-key insertion order
+        # (the classic defaultdict's), so float sums accumulate alike.
+        counts = self._vcounts
+        row_base = s * self.num_cores
+        present = [core for core in self._order[s] if counts[row_base + core]]
         total = 0.0
-        for core in self._order[s]:
-            if counts[s, core]:
-                total += probabilities[core]
+        for core in present:
+            total += probabilities[core]
         if total <= 0.0:
             return ages.index(min(ages))
         draw = self._next_draw() * total
         acc = 0.0
         chosen = -1
-        for core in self._order[s]:
-            if counts[s, core]:
-                p = probabilities[core]
-                if p > 0.0:
-                    acc += p
-                    chosen = core
-                    if draw <= acc:
-                        break
+        for core in present:
+            p = probabilities[core]
+            if p > 0.0:
+                acc += p
+                chosen = core
+                if draw <= acc:
+                    break
         return self._core_lru_way(owners, ages, chosen)
 
     @staticmethod
     def _core_lru_way(owners, ages, core: int) -> int:
-        best = -1
-        best_age = None
+        best = _FAR_INT
+        way = -1
         for w, owner in enumerate(owners):
-            if owner == core and (best_age is None or ages[w] < best_age):
-                best = w
-                best_age = ages[w]
-        return best
+            if owner == core and ages[w] < best:
+                best = ages[w]
+                way = w
+        return way
 
     # -- batch path ----------------------------------------------------------
 
@@ -740,28 +801,10 @@ class VectorCache:
             # path downstream already works in accounting-owner ids.
             c_all, s_all, t_all = trace
             trace = EncodedTrace(self._core_map_arr[c_all], s_all, t_all)
-        if self.track_sharers or self._observers:
-            # Sharer masks mutate on every hit, which breaks the
-            # out-of-order clean-hit scatter, and a per-access monitor
-            # must see exact state: replay through the scalar path (same
-            # state, same RNG order, bit-exact).
+        if self.per_access:
             return self._replay_scalar(*trace, out)
-        free_order = (
-            self.scheme is None
-            and self._dip is None
-            and not self._shadows
-            and type(self.policy) is LRUPolicy
-        )
-        # Free order re-batches tainted accesses recursively, so big chunks
-        # only cost extra rounds; strict order replays tainted accesses
-        # scalar, so the chunk is kept small enough that few accesses
-        # follow their set's first miss.
-        if self._chunk:
-            chunk = self._chunk
-        elif free_order:
-            chunk = max(256, min(8192, 2 * self.num_sets))
-        else:
-            chunk = max(64, min(4096, self.num_sets // 4))
+        free_order = self._free_order
+        chunk = self._chunk or auto_chunk(self.num_sets, free_order)
         c_all, s_all, t_all = trace
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
@@ -775,25 +818,68 @@ class VectorCache:
             self._clock += stop - start
         return out
 
-    def _replay_scalar(self, c_all, s_all, t_all, out) -> Optional[BatchResults]:
-        """Per-access replay of a batch (sharer tracking, per-access monitors)."""
-        cores_l = c_all.tolist()
-        sets_l = s_all.tolist()
-        tags_l = t_all.tolist()
-        clock = self._clock
-        scalar = self._scalar_access
-        for i in range(len(cores_l)):
-            clock += 1
-            hit, ecore, eaddr = scalar(
-                cores_l[i], sets_l[i], tags_l[i], clock, defer=False
+    @property
+    def _free_order(self) -> bool:
+        """Unmanaged LRU: no draws, duels or observers, so accesses that
+        follow their set's first miss may be re-batched out of order."""
+        return (
+            self.scheme is None
+            and self._dip is None
+            and not self._shadows
+            and type(self.policy) is LRUPolicy
+        )
+
+    @property
+    def per_access(self) -> bool:
+        """Whether :meth:`access_many` replays one access at a time.
+
+        True with sharer tracking (masks mutate on every hit, which breaks
+        the out-of-order clean-hit scatter) or a per-access monitor (it
+        must see exact state). Otherwise true only when ``chunk`` is left
+        on auto and a strict-order replay (PriSM's draws, DIP's duel) runs
+        on fewer than ``_BATCH_MIN_SETS`` sets: there a batch can group
+        only the few misses that land in distinct sets between flushes.
+        Unmanaged LRU re-batches out of order, so it always batches, and an
+        explicit ``chunk`` always batches. Either route is bit-exact: same
+        state, same RNG order.
+        """
+        return bool(
+            self.track_sharers
+            or self._observers
+            or (
+                not self._chunk
+                and self.num_sets < _BATCH_MIN_SETS
+                and not self._free_order
             )
+        )
+
+    def _replay_scalar(self, c_all, s_all, t_all, out) -> Optional[BatchResults]:
+        """Per-access replay of a batch, in bounded slices.
+
+        Each slice becomes Python ints once (never the whole batch, whose
+        int lists would cost memory in proportion to its length) and its
+        outcomes land in ``out`` as one slice assignment per array.
+        """
+        scalar = self._scalar_access
+        first = self._clock + 1
+        n = len(c_all)
+        for start in range(0, n, _SLICE):
+            stop = min(start + _SLICE, n)
+            rows = [
+                scalar(c, s, t, pos, False)
+                for pos, c, s, t in zip(
+                    range(first + start, first + stop),
+                    c_all[start:stop].tolist(),
+                    s_all[start:stop].tolist(),
+                    t_all[start:stop].tolist(),
+                )
+            ]
             if out is not None:
-                if hit:
-                    out.hit[i] = True
-                else:
-                    out.evicted_core[i] = ecore
-                    out.evicted_addr[i] = eaddr
-        self._clock = clock
+                hit, ecore, eaddr = zip(*rows)
+                out.hit[start:stop] = hit
+                out.evicted_core[start:stop] = ecore
+                out.evicted_addr[start:stop] = eaddr
+        self._clock += n
         return out
 
     def _predict(self, s, t):

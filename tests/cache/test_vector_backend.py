@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.cache import vector as vector_module
 from repro.cache.cache import SharedCache
 from repro.cache.encode import encode_trace
 from repro.cache.geometry import CacheGeometry
@@ -90,7 +91,9 @@ def _assert_equivalent(classic, vector, kind):
 
 # One (geometry, chunk, seed) pair per kind would leave each axis thinly
 # covered; two pairs per kind rotate all three axes while keeping tier-1
-# runtime low. The full 6x3x3x2 sweep runs in CI via the fuzzer.
+# runtime low. The full 6x3x3x2 sweep runs in CI via the fuzzer. All three
+# geometries are below the set-count crossover, so a ``None`` chunk replays
+# the strict kinds per access and an explicit one takes the batch route.
 MATRIX = [
     ("lru", GEO_S, None, 0),
     ("lru", GEO_L, 1024, 1),
@@ -112,16 +115,83 @@ MATRIX = [
     ids=[f"{k}-{g.num_sets}sets-chunk{c}-s{s}" for k, g, c, s in MATRIX],
 )
 def test_vector_matches_classic(kind, geo, chunk, seed):
-    stream = _stream(geo, seed, 2500)
+    _replay_both(kind, geo, _stream(geo, seed, 2500), chunk=chunk)
+
+
+def _replay_both(kind, geo, stream, chunk=None, calls=1):
+    """Classic per access vs vector ``access_many`` in ``calls`` batches."""
     classic = _build(kind, geo, "classic")
     vector = _build(kind, geo, "vector", chunk=chunk)
-    scalar_results = [classic.access(core, addr) for core, addr in stream]
-    batch = vector.access_many(encode_trace(stream, geo), collect=True)
-    for i, (a, b) in enumerate(zip(scalar_results, batch)):
+    expected = [classic.access(core, addr) for core, addr in stream]
+    cut = -(-len(stream) // calls)
+    got = []
+    for start in range(0, len(stream), cut):
+        got.extend(vector.access_many(
+            encode_trace(stream[start : start + cut], geo), collect=True
+        ))
+    assert len(got) == len(expected)
+    for i, (a, b) in enumerate(zip(expected, got)):
         assert (a.hit, a.set_index, a.evicted_core, a.evicted_addr) == (
             b.hit, b.set_index, b.evicted_core, b.evicted_addr
         ), f"{kind} diverges at access {i}: {a} vs {b}"
     _assert_equivalent(classic, vector, kind)
+    return classic, vector
+
+
+def _forbid(monkeypatch, *names):
+    for name in names:
+        def entered(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} entered on the per-access route")
+        monkeypatch.setattr(VectorCache, name, entered)
+
+
+@pytest.mark.parametrize("kind", ["prism", "prism-paper", "dip", "prism-dip"])
+def test_small_llc_strict_replays_run_per_access(kind, monkeypatch):
+    """Below the crossover, auto chunking replays strict order per access.
+
+    2500 accesses over 64 sets span three slices; interval lengths of 193
+    and 257 put boundaries inside slices, and every full-set miss is a
+    replacement (the fallback among them for PriSM).
+    """
+    _forbid(monkeypatch, "_chunk_strict", "_walk_pending", "_walk_scalar")
+    assert GEO_S.num_sets < vector_module._BATCH_MIN_SETS
+    classic, vector = _replay_both(kind, GEO_S, _stream(GEO_S, 4, 2500))
+    assert vector.per_access
+    assert vector.intervals_completed > 0 or kind == "dip"
+    if kind != "dip":
+        manager = vector.scheme.manager
+        assert manager.replacements > 0 and manager.victim_not_found > 0
+    assert sum(vector.stats.evictions) > 0
+
+
+@pytest.mark.parametrize("kind", ["prism", "dip", "prism-dip"])
+def test_explicit_chunk_keeps_the_batch_route(kind, monkeypatch):
+    entered = []
+    strict = VectorCache._chunk_strict
+
+    def spy(self, *args):
+        entered.append(len(args[0]))
+        return strict(self, *args)
+
+    monkeypatch.setattr(VectorCache, "_chunk_strict", spy)
+    _, vector = _replay_both(kind, GEO_S, _stream(GEO_S, 6, 1500), chunk=64)
+    assert not vector.per_access
+    assert entered and max(entered) == 64
+
+
+def test_large_llc_auto_keeps_the_batch_route():
+    geo = CacheGeometry(vector_module._BATCH_MIN_SETS * 64 * 2, 64, 2)
+    cache = _build("prism", geo, "vector")
+    assert not cache.per_access
+    assert _build("lru", GEO_S, "vector").per_access is False  # free order
+
+
+@pytest.mark.parametrize("calls", [1, 3])
+def test_per_access_replay_of_a_ragged_batch(calls):
+    """Batch lengths that are no multiple of the slice size replay exactly,
+    and the access positions carry over between calls."""
+    n = 2 * vector_module._SLICE + 37
+    _replay_both("prism", GEO_S, _stream(GEO_S, 8, n), calls=calls)
 
 
 def test_classic_access_many_matches_scalar_drive():

@@ -51,6 +51,12 @@ class TestExamples:
         assert "throughput" in out
         assert (tmp_path / "179.art.npz").exists()
 
+    def test_control_loop_trace(self):
+        # So short a run completes fewer than two intervals: the phase
+        # split must report that instead of dividing by zero.
+        out = run_example("control_loop_trace.py", "--phase-length", "5000")
+        assert "core 0 mean occupancy" in out
+
     @pytest.mark.parametrize("experiment", ["fig12", "sec56"])
     def test_reproduce_paper_single(self, experiment):
         out = run_example("reproduce_paper.py", "--only", experiment)
