@@ -10,9 +10,11 @@ cell as a cacheable, retryable unit of work:
 - :mod:`repro.campaign.store` — :class:`ResultStore`, an append-only
   JSONL log of results and typed :class:`FailedRun` records that
   round-trips :class:`~repro.experiments.runner.WorkloadResult`s exactly;
-- :mod:`repro.campaign.executor` — per-spec fault isolation on warm
-  worker processes (an exception or timeout costs one spec, not the
-  grid; the worker it touched is replaced);
+- :mod:`repro.campaign.executor` — the one dispatch loop: per-spec
+  fault isolation on warm forked workers or, via
+  :mod:`repro.campaign.stdio`, on subprocess and ssh workers (an
+  exception, crash or timeout costs one attempt, not the grid; the
+  worker it touched is replaced);
 - :mod:`repro.campaign.runner` — :class:`CampaignRunner`, the
   skip-completed / execute-pending / persist-incrementally loop;
 - :mod:`repro.campaign.campaign` — :class:`Campaign`, the saved-manifest
@@ -23,7 +25,7 @@ guarantees, and resume semantics.
 """
 
 from repro.campaign.campaign import Campaign, CampaignStatus
-from repro.campaign.executor import SpecError, SpecOutcome, iter_isolated, run_isolated
+from repro.campaign.executor import SpecError, SpecOutcome, iter_isolated
 from repro.campaign.fingerprint import (
     FINGERPRINT_VERSION,
     canonical_payload,
@@ -35,7 +37,6 @@ from repro.campaign.store import (
     ResultStore,
     RunMeta,
     StoredResult,
-    StoreMergeError,
 )
 
 __all__ = [
@@ -45,14 +46,12 @@ __all__ = [
     "CampaignRunner",
     "cache_hit",
     "ResultStore",
-    "StoreMergeError",
     "StoredResult",
     "RunMeta",
     "FailedRun",
     "SpecError",
     "SpecOutcome",
     "iter_isolated",
-    "run_isolated",
     "spec_fingerprint",
     "canonical_payload",
     "FINGERPRINT_VERSION",

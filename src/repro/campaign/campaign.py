@@ -22,7 +22,9 @@ Typical flow::
     print(run.describe())           # "executed 30, skipped 0 (cached)"
     camp.export_csv("sweep.csv")
 
-The CLI mirrors this as ``repro-sim campaign run/status/resume/export``.
+The CLI mirrors this as ``repro-sim campaign run/status/resume/export``;
+``commands=`` (``--hosts`` on the CLI) runs the same loop over subprocess
+or ssh workers instead of forked ones.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.campaign.runner import CampaignRun, CampaignRunner, Progress, cache_hit
@@ -113,8 +115,7 @@ class CampaignStatus:
     records' stored timestamps (``RunMeta.created_at``): the completion
     *rate* needs at least two records and a non-zero span, the ETA
     additionally needs pending work. Both are ``None`` when they cannot
-    be estimated. The same columns feed ``repro-sim campaign status``
-    and the herd status view.
+    be estimated. The same columns feed ``repro-sim campaign status``.
     """
 
     total: int
@@ -263,13 +264,14 @@ class Campaign:
 
     # -- queries ------------------------------------------------------------
 
-    def runner(self, jobs: Optional[int] = None) -> CampaignRunner:
+    def runner(self, jobs: Optional[int] = None, commands=None) -> CampaignRunner:
         return CampaignRunner(
             self.store,
             self.config,
             jobs=jobs,
             retries=self.retries,
             timeout=self.timeout,
+            commands=commands,
         )
 
     def fingerprints(self) -> List[str]:
@@ -325,14 +327,21 @@ class Campaign:
         jobs: Optional[int] = None,
         progress: Progress = None,
         limit: Optional[int] = None,
+        commands: Optional[Sequence[Tuple[str, Sequence[str]]]] = None,
+        stop=None,
+        kill_after: Optional[Tuple[str, int]] = None,
     ) -> CampaignRun:
         """Execute (or resume) the campaign: only pending specs simulate.
 
         Saves the manifest first, so even a run killed before its first
-        result leaves a resumable store behind.
+        result leaves a resumable store behind. ``commands``, ``stop``
+        and ``kill_after`` are passed to
+        :func:`~repro.campaign.executor.iter_isolated`.
         """
         self.save()
-        return self.runner(jobs=jobs).run(self.specs, progress=progress, limit=limit)
+        return self.runner(jobs=jobs, commands=commands).run(
+            self.specs, progress=progress, limit=limit, stop=stop, kill_after=kill_after
+        )
 
     # -- export -------------------------------------------------------------
 

@@ -8,6 +8,11 @@ a campaign command actually runs.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
+import sys
+import threading
+import time
 
 from repro.campaign.campaign import Campaign
 from repro.experiments.common import format_table
@@ -51,6 +56,33 @@ def _print_run(campaign: Campaign, run) -> None:
     print(f"store: {campaign.store.root} ({campaign.status().describe()})")
 
 
+def _execute(campaign: Campaign, args, kill_after=None):
+    """``campaign.run`` for the CLI: ssh workers from ``--hosts``, and the
+    first Ctrl-C drains (in-flight specs finish, no new one starts); a
+    second one aborts."""
+    commands = None
+    if args.hosts:
+        from repro.campaign.stdio import ssh_commands
+
+        commands = ssh_commands(args.hosts)
+    stop = threading.Event()
+
+    def on_sigint(signum, frame):
+        if stop.is_set():
+            raise KeyboardInterrupt
+        stop.set()
+        print("draining: in-flight specs finish, no new one starts "
+              "(Ctrl-C again to abort)", file=sys.stderr, flush=True)
+
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    progress = None if args.quiet else (lambda msg: print(f"  {msg}", flush=True))
+    try:
+        return campaign.run(jobs=args.jobs, progress=progress, limit=args.limit,
+                            commands=commands, stop=stop, kill_after=kill_after)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 def cmd_campaign_run(args) -> int:
     campaign = Campaign.grid(
         args.store,
@@ -63,10 +95,45 @@ def cmd_campaign_run(args) -> int:
         retries=args.retries,
         timeout=args.timeout,
     )
-    progress = None if args.quiet else (lambda msg: print(f"  {msg}", flush=True))
-    run = campaign.run(jobs=args.jobs, progress=progress, limit=args.limit)
+    kill_after = None
+    if args.chaos_kill_worker:
+        kill_after = (args.chaos_kill_worker, args.chaos_kill_after)
+    run = _execute(campaign, args, kill_after=kill_after)
     _print_run(campaign, run)
     return 1 if run.failures else 0
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # exists, owned by someone else
+        pass
+    return True
+
+
+def _print_workers(store_root) -> None:
+    """The last run's per-worker table, from ``events.jsonl``.
+
+    A worker left "running" whose process is gone (its driver was
+    killed) shows as "gone"; run ``status`` on the driver's host.
+    """
+    from repro.campaign.runner import read_events, worker_table
+
+    rows = worker_table(read_events(store_root))
+    if not rows:
+        print("workers:  none recorded for the last run")
+        return
+    for row in rows:
+        if row["state"] == "running" and row["pid"] and not _alive(row["pid"]):
+            row["state"] = "gone"
+    now = time.time()
+    print(format_table(
+        ["worker", "pid", "state", "results", "last event"],
+        [[r["worker"], r["pid"], r["state"], r["results"],
+          f"{now - r['last_ts']:.0f}s ago" if r["last_ts"] else "-"] for r in rows],
+    ))
 
 
 def cmd_campaign_status(args) -> int:
@@ -78,13 +145,13 @@ def cmd_campaign_status(args) -> int:
     print(f"status:   {status.describe()}")
     for failure in campaign.failures():
         print(f"  FAILED: {failure.describe()}")
+    _print_workers(campaign.store.root)
     return 0 if status.done else 1
 
 
 def cmd_campaign_resume(args) -> int:
     campaign = Campaign.load(args.store)
-    progress = None if args.quiet else (lambda msg: print(f"  {msg}", flush=True))
-    run = campaign.run(jobs=args.jobs, progress=progress, limit=args.limit)
+    run = _execute(campaign, args)
     _print_run(campaign, run)
     return 1 if run.failures else 0
 
@@ -96,18 +163,11 @@ def cmd_campaign_export(args) -> int:
     return 0
 
 
-def cmd_campaign_herd(args) -> int:
-    from repro.herd.cli import cmd_campaign_herd as handler
-
-    return handler(args)
-
-
 _HANDLERS = {
     "run": cmd_campaign_run,
     "status": cmd_campaign_status,
     "resume": cmd_campaign_resume,
     "export": cmd_campaign_export,
-    "herd": cmd_campaign_herd,
 }
 
 

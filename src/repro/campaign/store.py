@@ -26,15 +26,10 @@ loader skips a torn trailing line, so a store written by a process that
 was SIGKILLed mid-append still loads everything that completed.
 
 Appends take an advisory ``flock`` on the log for the duration of the
-single write, so several *processes* pointed at one store directory (herd
-workers, parallel campaign drivers) can never interleave torn lines
-mid-file; each process still keeps its own in-memory index, so
-cross-process read-your-writes visibility requires re-opening the store.
-:meth:`ResultStore.merge` folds another store (a herd worker's shard
-store) into this one with the same last-record-wins semantics, and raises
-:class:`StoreMergeError` if two stores claim *different* results for one
-fingerprint — determinism says that cannot happen, so it is a bug worth
-stopping on, not papering over.
+single write, so several *processes* pointed at one store directory
+(parallel campaign drivers) can never interleave torn lines mid-file;
+each process still keeps its own in-memory index, so cross-process
+read-your-writes visibility requires re-opening the store.
 """
 
 from __future__ import annotations
@@ -62,30 +57,12 @@ __all__ = [
     "RunMeta",
     "StoredResult",
     "ResultStore",
-    "StoreMergeError",
     "result_record",
     "failure_record",
 ]
 
 #: results.jsonl schema version.
 STORE_FORMAT = 1
-
-
-class StoreMergeError(RuntimeError):
-    """Two stores hold *different* result payloads for one fingerprint.
-
-    A fingerprint is the content address of a deterministic run, so two
-    stores disagreeing about its result means one of them was produced by
-    different code (or a corrupted record) — merging would silently bless
-    one of the two, so the merge refuses instead.
-    """
-
-    def __init__(self, fingerprint: str, detail: str = "") -> None:
-        self.fingerprint = fingerprint
-        message = f"conflicting result payloads for fingerprint {fingerprint}"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -264,8 +241,7 @@ def result_record(
 ) -> dict:
     """The ``results.jsonl`` line of one completed run.
 
-    The single definition of the result-record layout: the store's own
-    appends, :meth:`ResultStore.merge` and herd workers all build it here.
+    The single definition of the result-record layout.
     """
     return {
         "record": "result",
@@ -397,7 +373,7 @@ class ResultStore:
 
     def _append(self, record: dict) -> None:
         # One write call under an exclusive advisory lock: concurrent
-        # appenders (herd workers, parallel drivers sharing one store)
+        # appenders (parallel drivers sharing one store)
         # serialise per record, so the log can never hold an interleaved
         # torn line mid-file. O_APPEND places the write at the current
         # end even if another process appended between open and lock.
@@ -412,12 +388,6 @@ class ResultStore:
                 if fcntl is not None:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
-    def _write_trace(self, fingerprint: str, result: WorkloadResult) -> None:
-        """Write ``traces/<fp>.jsonl`` for a result that carries telemetry."""
-        if result.telemetry is not None:
-            self.traces_dir.mkdir(parents=True, exist_ok=True)
-            result.telemetry.write(self.trace_path(fingerprint))
-
     def add_result(
         self,
         fingerprint: str,
@@ -428,7 +398,9 @@ class ResultStore:
         """Persist one completed run (and its telemetry trace, if any)."""
         meta = RunMeta.now(fingerprint, wall_seconds=wall_seconds)
         self._append(result_record(fingerprint, spec, result, meta))
-        self._write_trace(fingerprint, result)
+        if result.telemetry is not None:
+            self.traces_dir.mkdir(parents=True, exist_ok=True)
+            result.telemetry.write(self.trace_path(fingerprint))
         stored = StoredResult(fingerprint=fingerprint, spec=spec, result=result, meta=meta)
         self._results[fingerprint] = stored
         self._failures.pop(fingerprint, None)
@@ -465,72 +437,3 @@ class ResultStore:
 
     def failure_for(self, fingerprint: str) -> Optional[FailedRun]:
         return self._failures.get(fingerprint)
-
-    # -- merging ------------------------------------------------------------
-
-    def append_raw(self, record: dict) -> None:
-        """Append one already-serialised record (and index it).
-
-        The record must be store-shaped, as built by :func:`result_record`
-        or :func:`failure_record`; this is the ingestion path for records
-        that arrive over the wire (herd workers) or from another store
-        (:meth:`merge`). A result record that carries telemetry gets its
-        trace file, exactly as :meth:`add_result` writes it.
-        """
-        self._append(record)
-        self._index(record)
-        if record.get("record") == "result":
-            fingerprint = record["fingerprint"]
-            self._write_trace(fingerprint, self._results[fingerprint].result)
-
-    def merge(self, shard: "ResultStore", on_conflict: str = "error") -> int:
-        """Fold another store's records into this one; returns appends.
-
-        Semantics (``tests/campaign/test_store_merge.py``):
-
-        - **Disjoint fingerprints** simply append.
-        - **Overlapping fingerprints with an identical result payload**
-          deduplicate — this store keeps its record, nothing is appended
-          (the common case: a shard re-merged after a crash, or two
-          workers that both computed a duplicate spec).
-        - **Conflicting result payloads** for one fingerprint raise
-          :class:`StoreMergeError` (``on_conflict="error"``, the
-          default), or let the incoming record supersede
-          (``on_conflict="theirs"`` — last record wins in the log).
-        - A shard **result supersedes** a stored failure; a shard failure
-          never displaces a stored result; a shard failure for an
-          already-failed fingerprint supersedes (fresher attempt count).
-        - The shard's torn trailing line, if any, was already dropped by
-          its loader.
-
-        Telemetry trace files travel with their records: an appended
-        result that carries telemetry gets its ``traces/<fp>.jsonl`` from
-        :meth:`append_raw`, and any other shard trace file is copied
-        unless this store already has one.
-        """
-        if on_conflict not in ("error", "theirs"):
-            raise ValueError(f"on_conflict must be 'error' or 'theirs', got {on_conflict!r}")
-        appended = 0
-        for stored in shard.results():
-            fp = stored.fingerprint
-            mine = self._results.get(fp)
-            if mine is not None:
-                if result_to_dict(mine.result) == result_to_dict(stored.result):
-                    continue
-                if on_conflict == "error":
-                    raise StoreMergeError(
-                        fp, f"{shard.root} disagrees with {self.root}"
-                    )
-            self.append_raw(result_record(fp, stored.spec, stored.result, stored.meta))
-            appended += 1
-            shard_trace = shard.trace_path(fp)
-            mine_trace = self.trace_path(fp)
-            if shard_trace.exists() and not mine_trace.exists():
-                self.traces_dir.mkdir(parents=True, exist_ok=True)
-                mine_trace.write_bytes(shard_trace.read_bytes())
-        for failure in shard.failures():
-            if failure.fingerprint in self._results:
-                continue
-            self.add_failure(failure)
-            appended += 1
-        return appended

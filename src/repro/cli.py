@@ -246,6 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     crun_p.add_argument("--scale-factor", type=int, default=64)
     crun_p.add_argument("--jobs", type=int, default=None,
                         help="concurrent worker processes (0 = all CPUs)")
+    crun_p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
+                        help="run one `repro-sim herd worker` per host over "
+                        "ssh instead of forked workers (list a host twice "
+                        "for two workers)")
     crun_p.add_argument("--retries", type=int, default=1,
                         help="extra fresh-worker attempts per failing spec")
     crun_p.add_argument("--timeout", type=float, default=None,
@@ -258,6 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run every spec with the runtime invariant "
                         "checker attached (failures are not retried)")
     crun_p.add_argument("--quiet", action="store_true")
+    # Test hook (CI chaos smoke): SIGKILL the named worker as it takes its
+    # next spec after N results, exercising crash-and-retry end to end.
+    crun_p.add_argument("--chaos-kill-worker", default=None,
+                        help=argparse.SUPPRESS)
+    crun_p.add_argument("--chaos-kill-after", type=int, default=1,
+                        help=argparse.SUPPRESS)
 
     camp_sub.add_parser(
         "status", help="summarise a campaign store (exit 0 iff complete)",
@@ -269,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[camp_store],
     )
     cresume_p.add_argument("--jobs", type=int, default=None)
+    cresume_p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
+                           help="ssh worker hosts, as for `campaign run`")
     cresume_p.add_argument("--limit", type=int, default=None)
     cresume_p.add_argument("--quiet", action="store_true")
 
@@ -282,74 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="default: by output extension (parquet needs "
                            "pyarrow and falls back loudly to CSV without it)")
 
-    cherd_p = camp_sub.add_parser(
-        "herd",
-        help="distribute a campaign across a worker fleet "
-        "(docs/campaigns.md \"Herd\")",
-    )
-    cherd_sub = cherd_p.add_subparsers(dest="herd_command", required=True)
-
-    hrun_p = cherd_sub.add_parser(
-        "run",
-        help="shard pending specs across workers; resumes like campaign run",
-        parents=[camp_store],
-    )
-    hrun_p.add_argument("--mixes", nargs="+", default=None,
-                        help="mix names (omit to resume the saved campaign)")
-    hrun_p.add_argument("--schemes", nargs="+", default=None,
-                        help="scheme registry names (required with --mixes)")
-    hrun_p.add_argument("--seeds", nargs="*", type=int, default=[0])
-    hrun_p.add_argument("--instructions", type=int, default=None)
-    hrun_p.add_argument("--scale-factor", type=int, default=64)
-    hrun_p.add_argument("--telemetry", action="store_true",
-                        help="record per-interval traces into the store")
-    hrun_p.add_argument("--retries", type=int, default=1,
-                        help="in-worker attempts per failing spec")
-    hrun_p.add_argument("--transport", choices=["local", "ssh", "exec"],
-                        default="local",
-                        help="local = multiprocessing workers on this "
-                        "machine; ssh = one worker per --hosts entry "
-                        "running `repro-sim herd worker`; exec = local "
-                        "subprocesses over the ssh byte protocol")
-    hrun_p.add_argument("--workers", type=int, default=None,
-                        help="fleet size for local/exec (default 2; "
-                        "ssh uses one worker per host)")
-    hrun_p.add_argument("--hosts", nargs="+", default=None,
-                        help="ssh hosts (repeat a host for several workers)")
-    hrun_p.add_argument("--heartbeat", type=float, default=1.0,
-                        help="worker heartbeat cadence in seconds")
-    hrun_p.add_argument("--dead-after", type=float, default=15.0,
-                        help="heartbeat silence before a worker is declared "
-                        "dead and its specs re-shard")
-    hrun_p.add_argument("--max-reassign", type=int, default=2,
-                        help="times one spec may be re-sharded off dead "
-                        "workers before it is recorded as failed")
-    hrun_p.add_argument("--quiet", action="store_true")
-    # Test hooks (CI chaos smoke): SIGKILL a named worker after it has
-    # streamed N results, exercising dead-worker detection end to end.
-    hrun_p.add_argument("--chaos-kill-worker", default=None,
-                        help=argparse.SUPPRESS)
-    hrun_p.add_argument("--chaos-kill-after", type=int, default=1,
-                        help=argparse.SUPPRESS)
-
-    hstatus_p = cherd_sub.add_parser(
-        "status",
-        help="fleet dashboard from the heartbeat log (exit 0 iff complete)",
-        parents=[camp_store],
-    )
-    hstatus_p.add_argument("--watch", type=float, default=None, metavar="SECONDS",
-                           help="re-render every SECONDS until complete")
-
     herd_p = sub.add_parser(
         "herd",
-        help="herd worker-side entry points (the controller side lives "
-        "under `campaign herd`)",
+        help="worker-side entry point for `campaign run --hosts`",
     )
     herd_sub = herd_p.add_subparsers(dest="herd_top_command", required=True)
     herd_sub.add_parser(
         "worker",
-        help="run as a herd worker: shard document on stdin, framed "
-        "result records on stdout (launched by the ssh transport)",
+        help="run as a subprocess worker: launch document and specs on "
+        "stdin, framed outcomes on stdout (docs/campaigns.md \"Workers\")",
     )
 
     check_p = sub.add_parser(
@@ -671,9 +624,9 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_herd(args) -> int:
-    from repro.herd.cli import cmd_herd as handler
+    from repro.campaign.stdio import serve
 
-    return handler(args)
+    return serve()
 
 
 def cmd_check(args) -> int:

@@ -16,7 +16,7 @@ shared-family names of that driver and its solo baselines.
 The ``scaleout`` registry experiment sweeps workloads x schemes x
 {per-core, clustered} and reports throughput and Jain-fairness panels;
 runs fan out through :func:`~repro.experiments.parallel.run_specs`, so
-``--jobs``, ``--store``, campaigns and the herd all apply.
+``--jobs``, ``--store`` and campaigns all apply.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from repro.campaign import (
     Campaign,
     CampaignRunner,
     ResultStore,
-    run_isolated,
+    iter_isolated,
     spec_fingerprint,
 )
 from repro.experiments.configs import machine
@@ -117,7 +117,8 @@ class TestFaultIsolation:
         # Fork carries the patch into the workers.
         monkeypatch.setattr(parallel_module, "run_workload", crash_on_dip)
         specs = [RunSpec("Q1", "dip"), RunSpec("Q1", "lru"), RunSpec("Q2", "lru")]
-        outcomes = run_isolated(specs, CONFIG, jobs=2, retries=1)
+        outcomes = sorted(iter_isolated(specs, CONFIG, jobs=2, retries=1),
+                          key=lambda o: o.index)
         assert [o.ok for o in outcomes] == [False, True, True]
         assert outcomes[0].error.error_type == "WorkerCrash"
         assert "code 3" in outcomes[0].error.message
@@ -145,7 +146,7 @@ class TestFaultIsolation:
         """Fault isolation must not change what a run computes."""
         specs = [RunSpec(mix="Q1", scheme="lru"), RunSpec(mix="Q1", scheme="prism-h")]
         plain = run_specs(specs, CONFIG, jobs=1)
-        outcomes = run_isolated(specs, CONFIG, jobs=2)
+        outcomes = sorted(iter_isolated(specs, CONFIG, jobs=2), key=lambda o: o.index)
         assert [o.result for o in outcomes] == plain
 
 

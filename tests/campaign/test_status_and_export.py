@@ -1,14 +1,15 @@
 """Status throughput/ETA columns and the columnar (Parquet) export."""
 
+import json
 import sys
 
 import pytest
 
 from repro.campaign.campaign import Campaign, completion_rate
-from repro.campaign.store import STORE_FORMAT, result_to_dict, spec_to_dict
+from repro.campaign.store import STORE_FORMAT, ResultStore, result_to_dict, spec_to_dict
 from repro.experiments.configs import machine
 
-from tests.campaign.test_store_merge import make_result
+from tests.campaign.test_store import make_result
 
 CONFIG = machine(4, instructions=3_000)
 
@@ -47,6 +48,14 @@ def stored_record(campaign, spec, fp, created_at):
     }
 
 
+def add_record(campaign, record):
+    """Append one store-shaped record to the campaign's log, then reopen
+    the store so the campaign sees it."""
+    with open(campaign.store.records_path, "a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    campaign.store = ResultStore(campaign.store.root)
+
+
 class TestStatusThroughput:
     def campaign(self, tmp_path):
         return Campaign.grid(
@@ -59,7 +68,7 @@ class TestStatusThroughput:
         # Two of four specs completed, one minute apart => 1 spec/min,
         # two pending => ETA 2 minutes.
         for spec, fp, ts in zip(campaign.specs[:2], fps[:2], (100.0, 160.0)):
-            campaign.store.append_raw(stored_record(campaign, spec, fp, ts))
+            add_record(campaign, stored_record(campaign, spec, fp, ts))
         status = campaign.status()
         assert status.completed == 2 and status.pending == 2
         assert status.specs_per_min == 1.0
@@ -70,9 +79,7 @@ class TestStatusThroughput:
     def test_no_rate_with_single_record(self, tmp_path):
         campaign = self.campaign(tmp_path)
         fps = campaign.fingerprints()
-        campaign.store.append_raw(
-            stored_record(campaign, campaign.specs[0], fps[0], 100.0)
-        )
+        add_record(campaign, stored_record(campaign, campaign.specs[0], fps[0], 100.0))
         status = campaign.status()
         assert status.specs_per_min is None and status.eta_seconds is None
         assert "specs/min" not in status.describe()
@@ -81,9 +88,7 @@ class TestStatusThroughput:
         campaign = self.campaign(tmp_path)
         fps = campaign.fingerprints()
         for i, (spec, fp) in enumerate(zip(campaign.specs, fps)):
-            campaign.store.append_raw(
-                stored_record(campaign, spec, fp, 100.0 + 10 * i)
-            )
+            add_record(campaign, stored_record(campaign, spec, fp, 100.0 + 10 * i))
         status = campaign.status()
         assert status.done
         assert status.specs_per_min is not None
@@ -97,7 +102,7 @@ class TestStatusThroughput:
         fps = campaign.fingerprints()
         stamps = (0.0, 100.0, 160.0)
         for spec, fp, ts in zip(campaign.specs[:3], fps[:3], stamps):
-            campaign.store.append_raw(stored_record(campaign, spec, fp, ts))
+            add_record(campaign, stored_record(campaign, spec, fp, ts))
         status = campaign.status()
         assert status.completed == 3 and status.pending == 1
         assert status.specs_per_min == 1.0
@@ -107,20 +112,21 @@ class TestStatusThroughput:
         campaign = self.campaign(tmp_path)
         fps = campaign.fingerprints()
         for spec, fp in zip(campaign.specs[:2], fps[:2]):
-            campaign.store.append_raw(stored_record(campaign, spec, fp, 0.0))
+            add_record(campaign, stored_record(campaign, spec, fp, 0.0))
         status = campaign.status()
         assert status.completed == 2
         assert status.specs_per_min is None and status.eta_seconds is None
 
     def test_clock_skewed_workers_stamps_are_sorted(self, tmp_path):
-        """Herd workers stream results with their own clocks; records can
-        land in the store out of timestamp order. The rate must come from
-        the sorted span, never a negative/garbled first-to-last delta."""
+        """Drivers on different hosts stamp records with their own clocks;
+        records can land in a store out of timestamp order. The rate must
+        come from the sorted span, never a negative/garbled first-to-last
+        delta."""
         campaign = self.campaign(tmp_path)
         fps = campaign.fingerprints()
         skewed = (160.0, 100.0, 130.0)  # arrival order != stamp order
         for spec, fp, ts in zip(campaign.specs[:3], fps[:3], skewed):
-            campaign.store.append_raw(stored_record(campaign, spec, fp, ts))
+            add_record(campaign, stored_record(campaign, spec, fp, ts))
         status = campaign.status()
         assert status.specs_per_min == 2.0
         assert status.eta_seconds == 30.0
@@ -140,9 +146,7 @@ class TestParquetExport:
             tmp_path / "s", CONFIG, mixes=["Q1"], schemes=["lru"]
         )
         fp = campaign.fingerprints()[0]
-        campaign.store.append_raw(
-            stored_record(campaign, campaign.specs[0], fp, 100.0)
-        )
+        add_record(campaign, stored_record(campaign, campaign.specs[0], fp, 100.0))
         return campaign
 
     def test_missing_pyarrow_falls_back_to_csv_loudly(self, tmp_path,

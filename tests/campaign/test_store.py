@@ -1,6 +1,9 @@
 """ResultStore round-trip and durability semantics."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -14,11 +17,30 @@ from repro.campaign.store import (
     spec_from_dict,
     spec_to_dict,
 )
+from repro.cpu.system import CoreResult
 from repro.experiments.configs import machine
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import run_workload
+from repro.experiments.runner import WorkloadResult, run_workload
 
 CONFIG = machine(4, instructions=3_000)
+
+
+def make_result(mix="Q1", scheme="lru", antt=1.5):
+    """A synthetic WorkloadResult (no simulation: for tests that care about
+    payload identity and size, not physics)."""
+    cores = [
+        CoreResult(
+            name=f"prog{i}", ipc=0.5 + i / 10, cpi=2.0, llc_stall_cpi=0.4,
+            instructions=3_000, cycles=6_000.0, hits=100 + i, misses=10 + i,
+            occupancy_at_finish=0.25,
+        )
+        for i in range(4)
+    ]
+    return WorkloadResult(
+        mix=mix, scheme=scheme, benchmarks=[c.name for c in cores],
+        cores=cores, standalone=[1.0, 1.1, 1.2, 1.3], antt=antt,
+        fairness=0.9, throughput=2.4, weighted_speedup=3.1, intervals=12,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +239,45 @@ class TestDurability:
         store = ResultStore(tmp_path / "fresh")
         assert len(store) == 0
         assert store.failures() == []
+
+
+_APPENDER = """
+import sys
+from repro.campaign.store import ResultStore
+from tests.campaign.test_store import CONFIG, make_result
+from repro.campaign.fingerprint import spec_fingerprint
+from repro.experiments.parallel import RunSpec
+
+root, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+store = ResultStore(root)
+for i in range(count):
+    # A distinct seed per record => distinct fingerprint; the large
+    # telemetry-free payload still spans several kilobytes, which is what
+    # would tear under unlocked interleaved appends.
+    spec = RunSpec(mix="Q1", scheme=tag, seed=i)
+    store.add_result(spec_fingerprint(spec, CONFIG), spec, make_result(scheme=tag))
+"""
+
+
+class TestConcurrentAppend:
+    def test_two_processes_append_without_torn_lines(self, tmp_path):
+        """Regression: pre-flock, concurrent appenders could interleave
+        torn lines mid-file; now every line must parse and every record
+        must survive."""
+        root = tmp_path / "shared"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _APPENDER, str(root), tag, "25"],
+                env={**os.environ,
+                     "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            for tag in ("lru", "ucp")
+        ]
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+        lines = (root / "results.jsonl").read_text().splitlines()
+        assert len(lines) == 50
+        for line in lines:
+            json.loads(line)  # no torn / interleaved lines anywhere
+        reopened = ResultStore(root)
+        assert len(reopened) == 50

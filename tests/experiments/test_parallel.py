@@ -176,7 +176,7 @@ class TestRunSpec:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_clustered_spec_keeps_clusters(self, jobs):
-        from repro.campaign import run_isolated
+        from repro.campaign import iter_isolated
 
         config = machine(4)
         [expected] = run_specs([CLUSTERED], config, jobs=1)
@@ -186,7 +186,7 @@ class TestRunSpec:
         per_core = run_workload("shared:smoke4", config, "prism-h", seed=1,
                                 instructions=20_000)
         assert expected.antt != per_core.antt  # clusters changes the result
-        [outcome] = run_isolated([CLUSTERED], config, jobs=jobs)
+        [outcome] = iter_isolated([CLUSTERED], config, jobs=jobs)
         assert outcome.result == expected
         [both, _] = run_specs([CLUSTERED, RunSpec("Q1", instructions=INSTR)], config,
                               jobs=jobs)

@@ -1,28 +1,23 @@
-"""Herd over the exec transport: the ssh byte stream, without the ssh.
+"""Campaigns over subprocess workers: the ssh byte stream, without the ssh.
 
-The exec transport runs ``python -m repro.cli herd worker`` subprocesses
+``local_commands`` runs ``python -m repro.cli herd worker`` subprocesses
 speaking the framed-stdio protocol — exactly what an ssh worker speaks —
 so this is the ssh path's integration coverage without needing sshd.
 """
 
-import os
 import sys
 
 import pytest
 
 from repro.campaign.campaign import Campaign
+from repro.campaign.runner import read_events
+from repro.campaign.stdio import ssh_commands
 from repro.campaign.store import ResultStore, result_to_dict
 from repro.experiments.configs import machine
-from repro.herd.controller import HerdController
-from repro.herd.transport import SshTransport, resolve_transport
+
+from tests.herd.conftest import local_commands
 
 CONFIG = machine(4, instructions=3_000)
-
-
-@pytest.fixture(autouse=True)
-def _child_pythonpath(monkeypatch):
-    """Worker subprocesses must import repro the way this process does."""
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in sys.path if p))
 
 
 class TestExecHerd:
@@ -30,10 +25,9 @@ class TestExecHerd:
         campaign = Campaign.grid(
             tmp_path / "fleet", CONFIG, mixes=["Q1", "Q4"], schemes=["lru"]
         )
-        transport = resolve_transport("exec", log_dir=tmp_path / "logs")
-        run = HerdController(campaign, transport=transport, workers=2).run()
+        run = campaign.run(commands=local_commands(2))
         assert run.executed == 2
-        assert run.failed == 0 and run.remaining == 0 and not run.dead_workers
+        assert run.failed == 0 and run.remaining == 0 and not run.crashed_workers
 
         serial = Campaign.grid(
             tmp_path / "serial", CONFIG, mixes=["Q1", "Q4"], schemes=["lru"]
@@ -49,30 +43,35 @@ class TestExecHerd:
         }
         assert ours == theirs
 
-    def test_stderr_lands_in_log_dir(self, tmp_path):
+    def test_worker_stderr_lands_in_events(self, tmp_path):
+        """What a worker says outside the protocol is kept per worker in
+        ``events.jsonl``, and its last words explain a crash."""
+        script = ("import sys\nprint('cannot reach the store', file=sys.stderr, "
+                  "flush=True)\nsys.exit(3)\n")
         campaign = Campaign.grid(
-            tmp_path / "store", CONFIG, mixes=["Q1"], schemes=["lru"]
+            tmp_path / "store", CONFIG, mixes=["Q1"], schemes=["lru"], retries=0
         )
-        transport = resolve_transport("exec", log_dir=tmp_path / "logs")
-        HerdController(campaign, transport=transport, workers=1).run()
-        assert (tmp_path / "logs" / "exec-0.stderr.log").exists()
+        run = campaign.run(commands=[("exec", [sys.executable, "-c", script])])
+        [failure] = run.failures
+        assert failure.error_type == "WorkerCrash"
+        assert failure.message == (
+            "worker exited with code 3 before reporting: cannot reach the store"
+        )
+        logs = [e for e in read_events(tmp_path / "store") if e["event"] == "log"]
+        assert [(e["worker"], e["text"]) for e in logs] == [
+            ("exec-0", "cannot reach the store")
+        ]
 
 
 class TestTransportResolution:
-    def test_ssh_requires_hosts(self):
-        with pytest.raises(ValueError, match="hosts"):
-            resolve_transport("ssh")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
+    def test_ssh_requires_hosts(self, tmp_path):
+        campaign = Campaign.grid(tmp_path / "s", CONFIG, mixes=["Q1"], schemes=["lru"])
+        with pytest.raises(ValueError, match="host"):
+            campaign.run(commands=ssh_commands([]))
 
     def test_ssh_worker_names_and_argv(self):
-        transport = SshTransport(["alpha", "beta", "alpha"])
-        assert transport.worker_names() == ["alpha", "beta", "alpha#2"]
-        argv = transport.argv_for("alpha#2")
-        assert argv[0] == "ssh"
-        assert "alpha" in argv and argv[-1] == "repro-sim herd worker"
-
-    def test_local_ignores_hosts(self):
-        assert resolve_transport("local", hosts=["ignored"]).name == "local"
+        commands = ssh_commands(["alpha", "beta", "alpha"])
+        assert [label for label, _ in commands] == ["alpha", "beta", "alpha"]
+        label, argv = commands[2]
+        assert argv[:3] == ["ssh", "-o", "BatchMode=yes"]
+        assert argv[-2:] == ["alpha", "repro-sim herd worker"]

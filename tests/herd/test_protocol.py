@@ -1,15 +1,13 @@
-"""Wire protocol: framing, sharding, shard documents."""
+"""Wire protocol of subprocess workers: framing and the launch document."""
 
 import pytest
 
-from repro.herd.protocol import (
+from repro.campaign.stdio import (
     FRAME_PREFIX,
     PROTOCOL_FORMAT,
-    check_shard_doc,
+    check_launch_doc,
     frame,
-    make_shard_doc,
-    shard_index,
-    shard_specs,
+    launch_doc,
     unframe,
 )
 
@@ -45,62 +43,28 @@ class TestFraming:
         assert unframe(frame(message)) == message
 
 
-FPS = [f"{i:016x}{'0' * 48}" for i in range(40)]
-
-
-class TestSharding:
-    def test_deterministic(self):
-        assert shard_specs(FPS, 3) == shard_specs(FPS, 3)
-
-    def test_every_spec_lands_exactly_once(self):
-        shards = shard_specs(FPS, 3)
-        flat = sorted(i for shard in shards for i in shard)
-        assert flat == list(range(len(FPS)))
-
-    def test_stable_under_resume_subset(self):
-        """A fingerprint keeps its shard when other specs complete."""
-        for fp in FPS:
-            assert shard_index(fp, 5) == shard_index(fp, 5)
-        subset = FPS[::3]
-        for fp in subset:
-            assert shard_index(fp, 5) in range(5)
-
-    def test_single_shard_takes_all(self):
-        assert shard_specs(FPS, 1) == [list(range(len(FPS)))]
-
-    def test_empty_shards_allowed(self):
-        shards = shard_specs(FPS[:1], 8)
-        assert sum(len(s) for s in shards) == 1
-        assert sum(1 for s in shards if not s) == 7
-
-
-class TestShardDoc:
+class TestLaunchDoc:
     def doc(self):
-        return make_shard_doc(
-            "w0",
-            {"num_cores": 4},
-            [{"fingerprint": "ab" * 32, "spec": {"mix": "Q1"}}],
-            heartbeat=0.5,
-            retries=1,
-        )
+        return launch_doc("w0", {"num_cores": 4}, heartbeat=0.5)
 
     def test_check_accepts_own_docs(self):
         doc = self.doc()
-        assert check_shard_doc(doc) is doc
+        assert check_launch_doc(doc) is doc
         assert doc["format"] == PROTOCOL_FORMAT
 
     def test_version_mismatch_rejected(self):
+        """A format-1 (sharded) driver's document is refused outright."""
         doc = self.doc()
-        doc["format"] = 99
-        with pytest.raises(ValueError, match="format"):
-            check_shard_doc(doc)
+        doc["format"] = 1
+        with pytest.raises(ValueError, match="format 1 != 2"):
+            check_launch_doc(doc)
 
     def test_missing_key_rejected(self):
         doc = self.doc()
         del doc["machine"]
         with pytest.raises(ValueError, match="machine"):
-            check_shard_doc(doc)
+            check_launch_doc(doc)
 
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError):
-            check_shard_doc(["not", "a", "doc"])
+            check_launch_doc(["not", "a", "doc"])

@@ -1,117 +1,71 @@
-"""Status view: folding the heartbeat log into the fleet dashboard."""
+"""Status view: folding ``events.jsonl`` into the per-worker table."""
 
 import json
+import os
+import subprocess
+import sys
 
-from repro.herd.controller import heartbeat_log_path
-from repro.herd.status import WorkerStatus, herd_status, render_status
+from repro.campaign.campaign import Campaign
+from repro.campaign.runner import EVENTS_NAME, read_events, worker_table
+from repro.cli import main
+from repro.experiments.configs import machine
 
 
 def write_events(store_root, events, torn_tail=False):
-    path = heartbeat_log_path(store_root)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(store_root / EVENTS_NAME, "w") as fh:
         for event in events:
             fh.write(json.dumps(event) + "\n")
         if torn_tail:
             fh.write('{"event": "heartbeat", "worker": "w0", "ts"')
 
 
-def beat(worker, ts, done, total=4, current=None, failed=0):
-    return {
-        "event": "heartbeat", "worker": worker, "ts": ts, "worker_ts": ts,
-        "done": done, "failed": failed, "total": total, "current": current,
-    }
-
-
-class TestWorkerStatus:
-    def test_specs_per_min_from_heartbeat_deltas(self):
-        w = WorkerStatus(name="w0", first_beat=100.0, last_beat=130.0,
-                         first_done=1, done=4)
-        assert w.specs_per_min == (4 - 1) / 30.0 * 60.0
-
-    def test_no_rate_without_progress(self):
-        assert WorkerStatus(name="w0").specs_per_min is None
-        assert WorkerStatus(
-            name="w0", first_beat=100.0, last_beat=100.0, done=3
-        ).specs_per_min is None
-        assert WorkerStatus(
-            name="w0", first_beat=100.0, last_beat=160.0, first_done=2, done=2
-        ).specs_per_min is None
-
-    def test_age(self):
-        assert WorkerStatus(name="w0").age(now=50.0) is None
-        assert WorkerStatus(name="w0", last_beat=40.0).age(now=50.0) == 10.0
+def events():
+    return [
+        {"event": "start", "worker": "fork-0", "ts": 100.0, "pid": 11},
+        {"event": "start", "worker": "fork-1", "ts": 100.0, "pid": 12},
+        {"event": "crash", "worker": "fork-1", "ts": 130.0, "results": 1, "code": -9,
+         "spec": "Q1 / lru / seed 0"},
+        {"event": "start", "worker": "fork-2", "ts": 131.0, "pid": 13},
+        {"event": "heartbeat", "worker": "fork-2", "ts": 140.0, "results": 2},
+        {"event": "exit", "worker": "fork-0", "ts": 150.0, "results": 3, "code": 0},
+    ]
 
 
 class TestHerdStatus:
-    def events(self):
-        return [
-            {"event": "launch", "worker": "w0", "assigned": 4,
-             "heartbeat": 0.5, "transport": "local"},
-            {"event": "launch", "worker": "w1", "assigned": 2,
-             "heartbeat": 0.5, "transport": "local"},
-            {"event": "hello", "worker": "w0"},
-            {"event": "hello", "worker": "w1"},
-            beat("w0", 100.0, 0, current="abcd1234"),
-            beat("w0", 160.0, 2),
-            beat("w1", 100.0, 0, total=2),
-            {"event": "dead", "worker": "w1", "why": "no heartbeat"},
-            {"event": "reassign", "worker": "w1", "to": "w0", "fingerprint": "ff"},
-            {"event": "reassign", "worker": "w1", "to": "w0", "fingerprint": "ee"},
-        ]
-
     def test_fold(self, tmp_path):
-        write_events(tmp_path, self.events())
-        status = herd_status(tmp_path)
-        assert [w.name for w in status.workers] == ["w0", "w1"]
-        w0, w1 = status.workers
-        assert w0.done == 2 and w0.total == 4 + 2  # 2 re-sharded onto w0
-        assert w0.specs_per_min == 2.0
-        assert w1.state == "dead"
-        assert status.dead == ["w1"]
-        assert status.reassigned == 2
-        assert status.transport == "local" and status.heartbeat == 0.5
-        assert not status.finished
-
-    def test_bye_and_summary_finish_the_run(self, tmp_path):
-        events = self.events() + [
-            {"event": "bye", "worker": "w0", "done": 6, "failed": 0},
-            {"event": "exit", "worker": "w0", "code": 0},
-            {"event": "summary", "executed": 6, "skipped": 1, "failed": 0,
-             "remaining": 0, "drained": False},
+        write_events(tmp_path, events())
+        rows = worker_table(read_events(tmp_path))
+        assert [(r["worker"], r["pid"], r["state"], r["results"], r["last_ts"])
+                for r in rows] == [
+            ("fork-0", 11, "exited", 3, 150.0),
+            ("fork-1", 12, "crashed", 1, 130.0),
+            ("fork-2", 13, "running", 2, 140.0),
         ]
-        write_events(tmp_path, events)
-        status = herd_status(tmp_path)
-        w0 = status.workers[0]
-        assert w0.state == "closed" and w0.done == 6
-        assert status.finished
-        assert status.summary["executed"] == 6
 
     def test_torn_tail_tolerated(self, tmp_path):
-        write_events(tmp_path, self.events(), torn_tail=True)
-        assert herd_status(tmp_path).workers  # parses, tail dropped
-
-    def test_live_state_thresholds(self, tmp_path):
-        write_events(tmp_path, self.events())
-        status = herd_status(tmp_path)
-        w0, w1 = status.workers
-        assert status.live_state(w0, now=161.0) == "live"
-        assert status.live_state(w0, now=1000.0) == "stale"
-        assert status.live_state(w1, now=161.0) == "dead"
+        write_events(tmp_path, events(), torn_tail=True)
+        assert len(read_events(tmp_path)) == len(events())  # tail dropped
 
 
 class TestRender:
     def test_no_herd_yet(self, tmp_path):
-        assert "no herd has run" in render_status(tmp_path)
+        assert read_events(tmp_path) == []
+        assert worker_table([]) == []
 
-    def test_dashboard_mentions_fleet_and_deaths(self, tmp_path):
-        write_events(tmp_path, TestHerdStatus().events() + [
-            {"event": "summary", "executed": 6, "skipped": 1, "failed": 0,
-             "remaining": 0, "drained": True},
-        ])
-        text = render_status(tmp_path, now=161.0)
-        assert "w0" in text and "w1" in text
-        assert "dead workers: w1 (2 specs re-sharded)" in text
-        assert "executed 6, skipped 1 (cached)" in text
-        assert "[drained]" in text
-        assert "transport: local" in text
+    def test_dashboard_mentions_fleet_and_deaths(self, tmp_path, capsys):
+        Campaign.grid(tmp_path, machine(4, instructions=3_000), mixes=["Q1"],
+                      schemes=["lru"]).save()
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        fleet = events()
+        fleet[3]["pid"] = os.getpid()  # fork-2: a live process
+        fleet.append({"event": "start", "worker": "fork-3", "ts": 150.0,
+                      "pid": finished.pid})  # its driver died: no exit event
+        write_events(tmp_path, fleet)
+        assert main(["campaign", "status", "--store", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        table = out[out.index("worker"):].splitlines()
+        assert len(table) == 2 + 4  # header, rule, one row per worker
+        assert "fork-1" in table[3] and "crashed" in table[3]
+        assert "fork-2" in table[4] and "running" in table[4]
+        assert "fork-3" in table[5] and "gone" in table[5]

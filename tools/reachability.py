@@ -23,9 +23,8 @@ Usage::
     python tools/reachability.py
 
 It takes no flags and always exits 0: it is a report, not a gate. It
-cannot see code that runs only in forked or exec'd worker processes
-(``repro.herd``, ``repro.campaign.executor._worker_main``); the report
-lists the herd separately and names that blind spot.
+cannot see code that runs only in worker processes — the forked and the
+subprocess worker entry points — and names that blind spot.
 """
 
 from __future__ import annotations
@@ -48,11 +47,12 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 EXAMPLES = REPO / "examples"
 
-#: Modules the in-process drive cannot reach by construction.
+#: Functions the in-process drive cannot reach by construction.
 BLIND_SPOTS = (
-    "repro.herd — its workers are forked or exec'd processes, so the herd "
-    "is reported apart and not driven",
-    "repro.campaign.executor._worker_main — runs in forked campaign workers",
+    "repro.campaign.executor._worker_main — runs in forked workers",
+    "repro.campaign.stdio.serve — runs in `repro-sim herd worker` "
+    "subprocesses (the driver side of subprocess workers is not driven "
+    "either: it needs `campaign run --hosts`)",
 )
 
 #: Small per-run budget (instructions, or requests for trace workloads).
@@ -284,14 +284,10 @@ def report(functions: List[Function], missed: List[Function], failures: List[str
         out.append(f"{module}  ({len(group)} functions, {line_total(group)} lines)")
         for f in group:
             out.append(f"    {f.qualname}  L{f.def_line}-{f.end_line}")
-    herd = [f for f in missed if f.module.startswith("repro.herd")]
-    rest = [f for f in missed if not f.module.startswith("repro.herd")]
     out += [
         "",
         f"functions in src/: {len(functions)}, never entered: {len(missed)} "
         f"({line_total(missed)} body lines)",
-        f"  outside repro.herd: {len(rest)} functions, {line_total(rest)} body lines",
-        f"  in repro.herd: {len(herd)} functions, {line_total(herd)} body lines",
         "",
         "Not visible to this drive:",
     ]
