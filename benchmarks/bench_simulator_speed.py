@@ -9,18 +9,21 @@ Also runnable directly (no pytest-benchmark needed)::
 
     PYTHONPATH=src python benchmarks/bench_simulator_speed.py
 
-which times every scenario best-of-N (``time.perf_counter``, one untimed
-warm-up round first), times the workload streams' bulk ``take`` against
-per-call ``next_access()``, runs the classic and vector backends side by side
-on the wide backend-comparison scenarios with their speedup ratio, times
-both engines and both vector routes at the drivers' geometries (64 to
-4,096 sets, report only: median, min and max over ``--rounds``; left out
-of ``--check-floors`` runs), and
-*appends* a run entry (keyed by git SHA) to ``BENCH_speed.json`` — the
-trajectory artifact CI archives so hot-path throughput accumulates per
-PR instead of being overwritten. ``--check-floors`` turns the run into
-the CI speed-regression smoke: it fails if any scenario's vector/classic
-speedup drops below its conservative floor.
+which times every scenario over ``--rounds`` rounds (at least 3;
+``time.perf_counter``, one untimed warm-up round first) and records each
+timing's median, quartiles, min, max and ``n``; times the workload
+streams' bulk ``take`` against per-call ``next_access()``; runs the
+classic and vector backends side by side on the wide backend-comparison
+scenarios with their speedup ratio; and, report only (left out of
+``--check-floors`` runs), times both engines and both vector routes at
+the drivers' geometries (64 to 4,096 sets) and the ``tenants:web8`` lru +
+prism-h driver call on both engines at 512 to 2,048 sets (the rows behind
+``repro.cache.backends.VECTOR_MIN_SETS``). It *appends* a run entry
+(keyed by git SHA) to ``BENCH_speed.json`` — the trajectory artifact CI
+archives so hot-path throughput accumulates per PR instead of being
+overwritten. ``--check-floors`` turns the run into the CI
+speed-regression smoke: it fails if any scenario's vector/classic speedup
+(best round against best round) drops below its conservative floor.
 """
 
 from repro.cache.cache import SharedCache
@@ -188,38 +191,59 @@ BACKEND_SCENARIOS = {
 }
 
 
-def _best_of(run, rounds):
-    """Best wall-clock of ``rounds`` timed calls, after one warm-up call.
+def _timings(run, rounds):
+    """Wall-clock of ``rounds`` timed calls, after one untimed warm-up.
 
-    The warm-up round is not timed: it pages in the engine code paths,
-    warms the allocator and (for the vector engine) numpy's internal
-    caches, so round-to-round variance reflects the engine, not process
-    start-up.
+    The warm-up round pages in the engine code paths, warms the allocator
+    and (for the vector engine) numpy's internal caches, so round-to-round
+    variance reflects the engine, not process start-up.
     """
     import time
 
     run()
-    best = float("inf")
+    out = []
     for _ in range(rounds):
         start = time.perf_counter()
         run()
-        best = min(best, time.perf_counter() - start)
-    return best
+        out.append(time.perf_counter() - start)
+    return out
 
 
-def run_backends(accesses: int = 400_000, rounds: int = 2) -> dict:
+def _spread(seconds):
+    """Median, quartiles, min, max and ``n`` of one column's timings."""
+    from statistics import median, quantiles
+
+    q1, _, q3 = quantiles(seconds, n=4)
+    return {
+        "median_s": round(median(seconds), 4),
+        "q1_s": round(q1, 4),
+        "q3_s": round(q3, 4),
+        "min_s": round(min(seconds), 4),
+        "max_s": round(max(seconds), 4),
+        "n": len(seconds),
+    }
+
+
+def _aps(accesses, spread):
+    """Accesses per second at the median round."""
+    return round(accesses / spread["median_s"], 1)
+
+
+def run_backends(accesses: int = 400_000, rounds: int = 3) -> dict:
     """Both backends side by side on every backend scenario.
 
     Per scenario: the classic engine driven per access (the historical
     baseline), the classic engine over ``access_many`` (same engine, batch
     call overhead shed), and the vector engine over the same pre-encoded
-    stream. ``speedup`` is vector vs per-access classic.
+    stream, each with its spread over ``rounds``. ``speedup`` is vector vs
+    per-access classic, best round against best round (the statistic
+    ``--check-floors`` gates on).
     """
     from repro.cache.encode import encode_trace
 
-    if accesses < 1 or rounds < 1:
+    if accesses < 1 or rounds < 3:
         raise SystemExit(
-            f"--accesses and --rounds must be >= 1 (got {accesses}, {rounds})"
+            f"--accesses must be >= 1 and --rounds >= 3 (got {accesses}, {rounds})"
         )
     results = {}
     for name, (pair, geometry, (hot_range, hot_frac), floor) in BACKEND_SCENARIOS.items():
@@ -233,20 +257,22 @@ def run_backends(accesses: int = 400_000, rounds: int = 2) -> dict:
             for core, addr in stream:
                 access(core, addr)
 
-        classic_s = _best_of(classic_scalar, rounds)
-        classic_batch_s = _best_of(
-            lambda: classic_factory().access_many(encoded), rounds
+        classic_s = _timings(classic_scalar, rounds)
+        classic_batch = _spread(
+            _timings(lambda: classic_factory().access_many(encoded), rounds)
         )
-        vector_s = _best_of(
-            lambda: vector_factory().access_many(encoded), rounds
-        )
+        vector_s = _timings(lambda: vector_factory().access_many(encoded), rounds)
+        classic, vector = _spread(classic_s), _spread(vector_s)
         results[name] = {
             "accesses": accesses,
             "rounds": rounds,
-            "classic_aps": round(accesses / classic_s, 1),
-            "classic_batch_aps": round(accesses / classic_batch_s, 1),
-            "vector_aps": round(accesses / vector_s, 1),
-            "speedup": round(classic_s / vector_s, 2),
+            "classic": classic,
+            "classic_batch": classic_batch,
+            "vector": vector,
+            "classic_aps": _aps(accesses, classic),
+            "classic_batch_aps": _aps(accesses, classic_batch),
+            "vector_aps": _aps(accesses, vector),
+            "speedup": round(min(classic_s) / min(vector_s), 2),
             "floor": floor,
         }
     return results
@@ -333,29 +359,6 @@ class _PerAccessProbe:
         pass
 
 
-def _timings(run, rounds):
-    """Wall-clock of ``rounds`` timed calls, after one untimed warm-up."""
-    import time
-
-    run()
-    out = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        run()
-        out.append(time.perf_counter() - start)
-    return out
-
-
-def _spread(seconds):
-    from statistics import median
-
-    return {
-        "median_s": round(median(seconds), 4),
-        "min_s": round(min(seconds), 4),
-        "max_s": round(max(seconds), 4),
-    }
-
-
 def run_driver_geometries(accesses: int = 100_000, rounds: int = 3) -> dict:
     """Classic vs both vector routes at the drivers' geometries.
 
@@ -419,8 +422,57 @@ def run_driver_geometries(accesses: int = 100_000, rounds: int = 3) -> dict:
     return results
 
 
+# -- whole driver calls around the vector threshold (report only) -----------
+#
+# build_cache builds the vector engine for a non-strict request only from
+# VECTOR_MIN_SETS LLC sets up. These rows time the call that decision is
+# about: the tenants:web8 lru + prism-h pair through run_workload (the e2e
+# web8 workload's round) on an 8-core machine scaled to each set count.
+# The vector column lowers the threshold for the call, so the same driver
+# code builds the vector engine below it too.
+
+DRIVER_CALL_SETS = (512, 1024, 2048)
+
+
+def _driver_call(config, backend, requests):
+    from repro.experiments.runner import StandaloneIPCCache, run_workload
+
+    memo = StandaloneIPCCache()  # each call pays its stand-alone runs
+    for scheme in ("lru", "prism-h"):
+        result = run_workload(
+            "tenants:web8", config, scheme, seed=0, instructions=requests,
+            standalone_cache=memo, backend=backend,
+        )
+        assert result.engine.engine == backend, result.engine
+
+
+def run_driver_calls(requests: int = 75_000, rounds: int = 3) -> dict:
+    """The web8 lru + prism-h driver call on both engines at 512-2,048 sets."""
+    from repro.cache import backends
+    from repro.experiments.configs import PAPER_LLC, machine
+
+    size, assoc, _ = PAPER_LLC[8]
+    results = {}
+    saved = backends.VECTOR_MIN_SETS
+    backends.VECTOR_MIN_SETS = 0
+    try:
+        for num_sets in DRIVER_CALL_SETS:
+            config = machine(8, scale_factor=size // (num_sets * assoc * 64))
+            assert config.geometry.num_sets == num_sets
+            row = {"sets": num_sets, "requests": requests, "rounds": rounds}
+            for backend in ("classic", "vector"):
+                row[backend] = _spread(_timings(
+                    lambda: _driver_call(config, backend, requests), rounds
+                ))
+            results[f"web8_{num_sets}"] = row
+    finally:
+        backends.VECTOR_MIN_SETS = saved
+    return results
+
+
 def run_standalone(accesses: int = 100_000, rounds: int = 3) -> dict:
-    """Best-of-``rounds`` accesses/second for every classic-only scenario."""
+    """Timing spread and median accesses/second for every classic-only
+    scenario."""
     rng = make_rng(1, "speed")
     stream = [(rng.randrange(4), rng.randrange(3000)) for _ in range(accesses)]
     results = {}
@@ -430,13 +482,13 @@ def run_standalone(accesses: int = 100_000, rounds: int = 3) -> dict:
         def run():
             holder["misses"] = _drive(factory(), stream)
 
-        best = _best_of(run, rounds)
+        seconds = _spread(_timings(run, rounds))
         assert holder["misses"] > 0
         results[name] = {
             "accesses": accesses,
             "rounds": rounds,
-            "best_seconds": round(best, 6),
-            "accesses_per_sec": round(accesses / best, 1),
+            "seconds": seconds,
+            "accesses_per_sec": _aps(accesses, seconds),
         }
     return results
 
@@ -471,16 +523,18 @@ def run_streams(accesses: int = 100_000, rounds: int = 3) -> dict:
                 next_access()
 
     total = per_profile * len(profiles)
-    take_s = _best_of(bulk, rounds)
-    call_s = _best_of(per_call, rounds)
+    take = _spread(_timings(bulk, rounds))
+    call = _spread(_timings(per_call, rounds))
     return {
         "profiles": [p.name for p in profiles],
         "accesses": total,
         "rounds": rounds,
         "chunk": _CHUNK,
-        "take_aps": round(total / take_s, 1),
-        "next_access_aps": round(total / call_s, 1),
-        "speedup": round(call_s / take_s, 2),
+        "take": take,
+        "next_access": call,
+        "take_aps": _aps(total, take),
+        "next_access_aps": _aps(total, call),
+        "speedup": round(call["median_s"] / take["median_s"], 2),
     }
 
 
@@ -543,7 +597,8 @@ def main(argv=None) -> int:
                         help="stream length for the classic-only scenarios")
     parser.add_argument("--backend-accesses", type=int, default=400_000,
                         help="stream length for the backend-comparison scenarios")
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="timed rounds per column (at least 3)")
     parser.add_argument("-o", "--output", default="BENCH_speed.json")
     parser.add_argument("--skip-backends", action="store_true",
                         help="only run the classic-only scenarios")
@@ -551,6 +606,8 @@ def main(argv=None) -> int:
                         help="exit 1 if any backend scenario's vector/classic "
                         "speedup falls below its floor (the CI smoke)")
     args = parser.parse_args(argv)
+    if args.rounds < 3:
+        parser.error("--rounds must be at least 3 (each row records its quartiles)")
 
     classic_only = run_standalone(accesses=args.accesses, rounds=args.rounds)
     print("classic-only scenarios (64 KiB figure machine):")
@@ -565,10 +622,9 @@ def main(argv=None) -> int:
     backends = {}
     failures = []
     if not args.skip_backends:
-        backends = run_backends(
-            accesses=args.backend_accesses, rounds=max(1, args.rounds - 1)
-        )
-        print("\nbackend comparison (accesses/sec, best-of-N after warm-up):")
+        backends = run_backends(accesses=args.backend_accesses, rounds=args.rounds)
+        print("\nbackend comparison (accesses/sec at the median round; speedup "
+              "best round against best round):")
         print(f"{'scenario':>12} {'classic':>12} {'classic-batch':>14} "
               f"{'vector':>12} {'speedup':>8}")
         for name, row in backends.items():
@@ -582,6 +638,7 @@ def main(argv=None) -> int:
                 )
 
     driver = {}
+    driver_calls = {}
     if not args.skip_backends and not args.check_floors:
         # Report-only rows gate nothing, so a gating run leaves them out.
         driver = run_driver_geometries(accesses=args.accesses, rounds=args.rounds)
@@ -593,6 +650,15 @@ def main(argv=None) -> int:
                   f"{row['vector_batch']['median_s']:>8.3f} "
                   f"{row['vector_per_access']['median_s']:>8.3f}  "
                   f"{row['auto_route']}")
+        driver_calls = run_driver_calls(rounds=args.rounds)
+        print("\nweb8 lru + prism-h driver call (median [q1, q3] s, report only):")
+        for name, row in driver_calls.items():
+            cells = "  ".join(
+                f"{backend} {row[backend]['median_s']:.3f} "
+                f"[{row[backend]['q1_s']:.3f}, {row[backend]['q3_s']:.3f}]"
+                for backend in ("classic", "vector")
+            )
+            print(f"{name:>12}  {cells}")
 
     entry = {
         "sha": _git_sha(),
@@ -601,6 +667,7 @@ def main(argv=None) -> int:
         "streams": streams,
         "backends": backends,
         "driver": driver,
+        "driver_calls": driver_calls,
     }
     doc = _append_trajectory(args.output, entry)
     print(f"\nwrote {args.output} ({len(doc['runs'])} run(s) in trajectory)")

@@ -16,8 +16,9 @@ into:
   UCP's UMON utility monitors,
 - backends — the numpy batch engine (:class:`~repro.cache.vector.VectorCache`)
   with its trace pre-encoder (:mod:`repro.cache.encode`) and the
-  :func:`~repro.cache.backends.build_cache` selector that falls back to the
-  classic engine for configurations the vector engine cannot represent.
+  :func:`~repro.cache.backends.build_cache` selector, which builds the
+  classic engine below :data:`~repro.cache.backends.VECTOR_MIN_SETS` LLC
+  sets and for configurations the vector engine cannot represent.
 """
 
 from repro.cache.backends import BACKENDS, build_cache, resolve_backend

@@ -8,35 +8,66 @@ Two engines implement the same shared-cache semantics:
 - ``"vector"`` — :class:`~repro.cache.vector.VectorCache`, numpy-backed
   state, replayed per access or in vectorised batches depending on the
   geometry and the scheme. Only for the configurations it can represent
-  (LRU/DIP baselines, PriSM or no scheme; any monitor). Which engine is
-  faster depends on the LLC's set count: see ``docs/simulator.md``
-  ("Backends") for measurements at the drivers' geometries.
+  (LRU/DIP baselines, PriSM or no scheme; any monitor).
 
 The two are certified bit-exact by ``repro-sim check fuzz --backend
 vector`` (see :mod:`repro.check.differential`), which is why the backend
 is *excluded* from campaign fingerprints: a result does not depend on it.
 
-:func:`build_cache` is the one place the choice is made. When the vector
-engine cannot represent a configuration it raises
-:class:`~repro.cache.vector.VectorUnsupported` at construction time;
-``build_cache`` turns that into a loud ``RuntimeWarning`` plus a classic
-fallback (or re-raises under ``strict=True``), so experiment code never
-has to know which configurations are vectorisable.
+:func:`build_cache` is the one place the choice is made, and a
+``"vector"`` request is a request for the faster engine, not an order:
+
+- below :data:`VECTOR_MIN_SETS` LLC sets the classic engine runs a whole
+  driver call faster (every default ``machine()`` has 64 sets; see
+  ``docs/simulator.md``, "Backends"), so the request builds the classic
+  engine, quietly;
+- from it up, the vector engine is built unless it cannot represent the
+  configuration: it raises :class:`~repro.cache.vector.VectorUnsupported`
+  at construction time, which ``build_cache`` turns into a loud
+  ``RuntimeWarning`` plus the classic engine.
+
+``strict=True`` means "this exact engine or raise": it builds the vector
+engine at any set count and re-raises ``VectorUnsupported`` (the
+differential certification and the microbenchmarks build it that way).
+Either way the caller gets an :class:`EngineChoice` naming the engine
+that was built and why a vector request was declined, which the drivers
+record on :class:`~repro.experiments.runner.WorkloadResult`.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache.cache import SharedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.base import ReplacementPolicy
 
-__all__ = ["BACKENDS", "build_cache", "resolve_backend"]
+__all__ = ["BACKENDS", "VECTOR_MIN_SETS", "EngineChoice", "build_cache", "resolve_backend"]
 
 #: Recognised backend names, in preference order for documentation.
 BACKENDS = ("classic", "vector")
+
+#: A non-strict ``"vector"`` request builds the vector engine only from
+#: this many LLC sets up. Whole driver calls (the tenants:web8 lru +
+#: prism-h pair, the ``driver_calls`` rows of
+#: benchmarks/bench_simulator_speed.py) run faster on the classic engine
+#: at 512 sets and on the vector engine from 1,024 sets.
+VECTOR_MIN_SETS = 1024
+
+
+class EngineChoice(NamedTuple):
+    """The engine :func:`build_cache` built, and why.
+
+    Attributes:
+        engine: ``"classic"`` or ``"vector"``.
+        declined: why a ``"vector"`` request built the classic engine
+            (the set count, or the ``VectorUnsupported`` message);
+            ``None`` when the requested engine was built.
+    """
+
+    engine: str
+    declined: Optional[str] = None
 
 
 def resolve_backend(backend: Optional[str]) -> str:
@@ -59,7 +90,7 @@ def build_cache(
     strict: bool = False,
     core_map: Optional[Sequence[int]] = None,
     track_sharers: bool = False,
-) -> Tuple[object, str]:
+) -> Tuple[object, EngineChoice]:
     """Build a shared cache under ``backend``; attach ``scheme`` if given.
 
     Args:
@@ -69,7 +100,8 @@ def build_cache(
         policy: baseline replacement policy (``None`` = true LRU).
         scheme: management scheme to attach, or ``None``.
         backend: ``"classic"`` or ``"vector"``.
-        strict: under ``backend="vector"``, re-raise
+        strict: under ``backend="vector"``, build the vector engine at any
+            set count and re-raise
             :class:`~repro.cache.vector.VectorUnsupported` instead of
             falling back to the classic engine.
         core_map: optional cluster map (:mod:`repro.clustering`) mapping
@@ -78,11 +110,18 @@ def build_cache(
             workloads; see ``docs/simulator.md``).
 
     Returns:
-        ``(cache, backend_used)`` — ``backend_used`` is the engine that
-        was actually built (``"classic"`` after a fallback).
+        ``(cache, choice)`` — ``choice`` is the :class:`EngineChoice`:
+        the engine that was actually built and, when a vector request
+        built the classic engine, the reason.
     """
     backend = resolve_backend(backend)
-    if backend == "vector":
+    declined = None
+    if backend == "vector" and not strict and geometry.num_sets < VECTOR_MIN_SETS:
+        declined = (
+            f"{geometry.num_sets} LLC sets, below the vector engine's "
+            f"{VECTOR_MIN_SETS}"
+        )
+    elif backend == "vector":
         from repro.cache.vector import VectorCache, VectorUnsupported
 
         try:
@@ -97,11 +136,12 @@ def build_cache(
                     core_map=core_map,
                     track_sharers=track_sharers,
                 ),
-                "vector",
+                EngineChoice("vector"),
             )
         except VectorUnsupported as exc:
             if strict:
                 raise
+            declined = f"unsupported: {exc}"
             warnings.warn(
                 f"vector backend unavailable for this configuration "
                 f"({exc}); falling back to the classic engine",
@@ -114,4 +154,4 @@ def build_cache(
     )
     if scheme is not None:
         cache.set_scheme(scheme)
-    return cache, "classic"
+    return cache, EngineChoice("classic", declined)

@@ -413,26 +413,30 @@ class SharedCache:
         """Replay many accesses through the classic engine.
 
         Same contract as :meth:`repro.cache.vector.VectorCache.access_many`:
-        both backends consume the same pre-encoded stream, so a driver can
+        both backends consume the same pre-encoded stream and return the
+        same :class:`~repro.cache.encode.BatchResults`, so a driver can
         switch engines without re-encoding. The classic engine still
         processes one access at a time, but the batch loop sheds the
         per-call overhead (one ``_hot`` unpack and the geometry arithmetic
-        per batch instead of per access). Wiring must not change
-        mid-batch — exactly the assumption ``access`` already makes within
-        one call.
+        per slice instead of per access). The batch replays in slices of
+        :data:`~repro.cache.encode.SLICE` accesses: each slice becomes
+        Python ints at once and its outcomes land in the preallocated
+        output arrays, so memory stays bounded however long the batch.
+        Wiring must not change mid-batch — exactly the assumption
+        ``access`` already makes within one call.
 
         Args:
             cores: an :class:`~repro.cache.encode.EncodedTrace`, or the
                 per-access core ids.
             addrs: block addresses (required unless ``cores`` is already
                 an encoded trace).
-            collect: build a :class:`~repro.cache.vector.BatchResults`;
-                leave off on throughput-critical replays.
+            collect: build a ``BatchResults``; leave off on
+                throughput-critical replays.
 
         Returns:
             A ``BatchResults`` when ``collect``, else ``None``.
         """
-        from repro.cache.encode import EncodedTrace, encode_accesses
+        from repro.cache.encode import SLICE, BatchResults, EncodedTrace, encode_accesses
 
         if isinstance(cores, EncodedTrace):
             trace = cores
@@ -440,8 +444,25 @@ class SharedCache:
             if addrs is None:
                 raise TypeError("access_many needs addrs unless given an EncodedTrace")
             trace = encode_accesses(cores, addrs, self.geometry)
-        n = len(trace)
-        hit_out = ec_out = ea_out = None
+        out = BatchResults.for_trace(trace) if collect else None
+        c_all, s_all, t_all = trace
+        for start in range(0, len(trace), SLICE):
+            stop = start + SLICE
+            self._replay_slice(
+                c_all[start:stop].tolist(),
+                s_all[start:stop].tolist(),
+                t_all[start:stop].tolist(),
+                out,
+                start,
+            )
+        return out
+
+    def _replay_slice(self, cores_l, sets_l, tags_l, out, offset) -> None:
+        """Replay one slice of :meth:`access_many`, given as plain-int lists
+        (they iterate faster than numpy scalars in this loop); with
+        ``out``, write its outcomes at ``offset``."""
+        n = len(cores_l)
+        collect = out is not None
         if collect:
             hit_out = [False] * n
             ec_out = [-1] * n
@@ -470,10 +491,6 @@ class SharedCache:
             core_map,
             track_sharers,
         ) = self._hot
-        # Plain-int lists iterate faster than numpy scalars in this loop.
-        cores_l = trace.cores.tolist()
-        sets_l = trace.set_indices.tolist()
-        tags_l = trace.tags.tolist()
         for i in range(n):
             real_core = core = cores_l[i]
             if core_map is not None:
@@ -530,18 +547,11 @@ class SharedCache:
                     self._interval_left = left
                 else:
                     self._end_interval()
-        if not collect:
-            return None
-        import numpy as np
-
-        from repro.cache.vector import BatchResults
-
-        return BatchResults(
-            np.asarray(hit_out, dtype=bool),
-            trace.set_indices,
-            np.asarray(ec_out, dtype=np.int64),
-            np.asarray(ea_out, dtype=np.int64),
-        )
+        if collect:
+            stop = offset + n
+            out.hit[offset:stop] = hit_out
+            out.evicted_core[offset:stop] = ec_out
+            out.evicted_addr[offset:stop] = ea_out
 
     def _end_interval(self) -> None:
         """Fire the allocation-policy interval: scheme first, then resets.

@@ -4,9 +4,11 @@ Both cache backends consume the same encoded form: the classic engine's
 :meth:`~repro.cache.cache.SharedCache.access_many` saves the per-access
 geometry arithmetic, and the vector engine
 (:class:`~repro.cache.vector.VectorCache`) requires whole-trace arrays to
-batch its set lookups at all. Encoding is a pair of vectorised integer
-ops (mask + shift), so a multi-million-access trace encodes in
-milliseconds and the arrays can be replayed any number of times.
+batch its set lookups at all. Both return the same :class:`BatchResults`
+and replay per access in slices of :data:`SLICE`. Encoding is a pair of
+vectorised integer ops (mask + shift), so a multi-million-access trace
+encodes in milliseconds and the arrays can be replayed any number of
+times.
 
 The arithmetic is exactly :class:`~repro.cache.geometry.CacheGeometry`'s
 ``set_index``/``tag`` (and the classic engine's hot-path copies of them):
@@ -19,9 +21,14 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.cache import AccessResult
 from repro.cache.geometry import CacheGeometry
 
-__all__ = ["EncodedTrace", "encode_accesses", "encode_trace"]
+__all__ = ["SLICE", "BatchResults", "EncodedTrace", "encode_accesses", "encode_trace"]
+
+#: Accesses per slice of a per-access replay: each slice becomes Python
+#: ints at once, so its int lists stay bounded whatever the batch length.
+SLICE = 1024
 
 
 class EncodedTrace(NamedTuple):
@@ -39,6 +46,50 @@ class EncodedTrace(NamedTuple):
 
     def __len__(self) -> int:
         return len(self.cores)
+
+
+class BatchResults:
+    """Per-access outcomes of one ``access_many`` call, on either engine.
+
+    Stored as parallel arrays (building millions of ``AccessResult``
+    tuples would dominate the batch runtime); :meth:`result` materialises
+    one on demand and iteration yields them in order.
+    """
+
+    __slots__ = ("hit", "set_index", "evicted_core", "evicted_addr")
+
+    def __init__(self, hit, set_index, evicted_core, evicted_addr) -> None:
+        self.hit = hit
+        self.set_index = set_index
+        self.evicted_core = evicted_core
+        self.evicted_addr = evicted_addr
+
+    @classmethod
+    def for_trace(cls, trace: EncodedTrace) -> "BatchResults":
+        """Preallocated outputs for ``trace``: every access a miss that
+        evicts nothing, until the replay writes its outcome."""
+        n = len(trace)
+        return cls(
+            np.zeros(n, dtype=bool),
+            trace.set_indices,
+            np.full(n, -1, dtype=np.int64),
+            np.full(n, -1, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.hit)
+
+    def result(self, i: int) -> AccessResult:
+        return AccessResult(
+            bool(self.hit[i]),
+            int(self.set_index[i]),
+            int(self.evicted_core[i]),
+            int(self.evicted_addr[i]),
+        )
+
+    def __iter__(self):
+        for i in range(len(self.hit)):
+            yield self.result(i)
 
 
 def encode_accesses(

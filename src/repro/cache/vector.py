@@ -13,7 +13,7 @@ Routes
 
 ``access_many`` replays a batch by one of two routes over the same arrays:
 **per access** (``_replay_scalar`` → ``_scalar_access``, in slices of
-``_SLICE`` accesses, reading and writing the arrays through flat
+``SLICE`` accesses, reading and writing the arrays through flat
 memoryviews bound once at construction) or **batch** (``_chunk_strict`` /
 ``_chunk_free``, described below). :attr:`VectorCache.per_access` picks
 the route; its docstring and ``docs/simulator.md`` ("Backends") give the
@@ -99,14 +99,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.cache.cache import AccessResult, _active
-from repro.cache.encode import EncodedTrace, encode_accesses
+from repro.cache.encode import SLICE, BatchResults, EncodedTrace, encode_accesses
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.dip import DIPPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.stats import CacheStats
 
-__all__ = ["BatchResults", "VectorCache", "VectorUnsupported", "auto_chunk"]
+__all__ = ["VectorCache", "VectorUnsupported", "auto_chunk"]
 
 #: Sentinel larger than any stamp (stamps are bounded by total accesses).
 _FAR = np.int64(1) << 62
@@ -118,9 +118,6 @@ _FAR_INT = int(_FAR)
 #: benchmarks/bench_simulator_speed.py; from it up, a hit-heavy PriSM
 #: trace runs faster in batches (docs/simulator.md, "Backends").
 _BATCH_MIN_SETS = 2048
-
-#: Accesses per slice of a per-access replay (bounds its int lists).
-_SLICE = 1024
 
 
 def auto_chunk(num_sets: int, free_order: bool) -> int:
@@ -138,38 +135,6 @@ def auto_chunk(num_sets: int, free_order: bool) -> int:
 
 class VectorUnsupported(ValueError):
     """The vector backend cannot represent this configuration exactly."""
-
-
-class BatchResults:
-    """Per-access outcomes of one :meth:`VectorCache.access_many` call.
-
-    Stored as parallel arrays (building millions of ``AccessResult``
-    tuples would dominate the batch runtime); :meth:`result` materialises
-    one on demand and iteration yields them in order.
-    """
-
-    __slots__ = ("hit", "set_index", "evicted_core", "evicted_addr")
-
-    def __init__(self, hit, set_index, evicted_core, evicted_addr) -> None:
-        self.hit = hit
-        self.set_index = set_index
-        self.evicted_core = evicted_core
-        self.evicted_addr = evicted_addr
-
-    def __len__(self) -> int:
-        return len(self.hit)
-
-    def result(self, i: int) -> AccessResult:
-        return AccessResult(
-            bool(self.hit[i]),
-            int(self.set_index[i]),
-            int(self.evicted_core[i]),
-            int(self.evicted_addr[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self.hit)):
-            yield self.result(i)
 
 
 class VectorCache:
@@ -786,14 +751,7 @@ class VectorCache:
                 raise TypeError("access_many needs addrs unless given an EncodedTrace")
             trace = encode_accesses(cores, addrs, self.geometry)
         n = len(trace)
-        out = None
-        if collect:
-            out = BatchResults(
-                np.zeros(n, dtype=bool),
-                trace.set_indices,
-                np.full(n, -1, dtype=np.int64),
-                np.full(n, -1, dtype=np.int64),
-            )
+        out = BatchResults.for_trace(trace) if collect else None
         if n == 0:
             return out
         if self._core_map_arr is not None:
@@ -863,8 +821,8 @@ class VectorCache:
         scalar = self._scalar_access
         first = self._clock + 1
         n = len(c_all)
-        for start in range(0, n, _SLICE):
-            stop = min(start + _SLICE, n)
+        for start in range(0, n, SLICE):
+            stop = min(start + SLICE, n)
             rows = [
                 scalar(c, s, t, pos, False)
                 for pos, c, s, t in zip(

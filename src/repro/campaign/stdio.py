@@ -39,6 +39,7 @@ import time
 import traceback
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cache.backends import EngineChoice
 from repro.campaign.campaign import machine_from_dict, machine_to_dict
 from repro.campaign.executor import SpecError
 from repro.campaign.store import result_from_dict, result_to_dict, spec_from_dict, spec_to_dict
@@ -172,13 +173,15 @@ def serve(stdin=None, stdout=None) -> int:
                 continue
             start = time.perf_counter()
             try:
-                result = result_to_dict(run_spec(spec_from_dict(message["spec"]), config))
+                ran = run_spec(spec_from_dict(message["spec"]), config)
+                # The engine choice is provenance, outside result_to_dict.
+                result, engine = result_to_dict(ran), ran.engine
                 error = None
             except BaseException as exc:  # everything, incl. KeyError/SystemExit
-                result = None
+                result = engine = None
                 error = {"error_type": type(exc).__name__, "message": str(exc),
                          "traceback": traceback.format_exc()}
-            send({"type": "outcome", "result": result, "error": error,
+            send({"type": "outcome", "result": result, "engine": engine, "error": error,
                   "wall_seconds": time.perf_counter() - start})
     finally:
         stop.set()
@@ -250,8 +253,12 @@ class StdioWorker:
                     messages.append(("heartbeat", None))
                 elif message.get("type") == "outcome":
                     result, error = message["result"], message["error"]
+                    if result is not None:
+                        result = result_from_dict(result)
+                        if message.get("engine"):
+                            result.engine = EngineChoice(*message["engine"])
                     messages.append(("outcome", (
-                        result_from_dict(result) if result is not None else None,
+                        result,
                         SpecError(**error) if error is not None else None,
                         message["wall_seconds"],
                     )))

@@ -10,7 +10,8 @@ A store is a directory::
 ``results.jsonl`` holds two record kinds, discriminated by ``record``:
 
 - ``"result"`` — a completed :class:`~repro.experiments.runner.WorkloadResult`
-  plus run metadata (fingerprint, wall time, host, repro version,
+  plus run metadata (fingerprint, wall time, the cache engine that ran
+  and why a vector request was declined, host, repro version,
   timestamp). Loading reconstructs a ``WorkloadResult`` equal, field for
   field, to the one that was stored (telemetry included; the
   non-deterministic ``RunTiming`` is deliberately not persisted — it is
@@ -46,6 +47,7 @@ try:  # POSIX only; on other platforms appends fall back to unlocked writes
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
+from repro.cache.backends import EngineChoice
 from repro.cpu.system import CoreResult
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import WorkloadResult
@@ -67,21 +69,35 @@ STORE_FORMAT = 1
 
 @dataclass(frozen=True)
 class RunMeta:
-    """Provenance of one stored run."""
+    """Provenance of one stored run.
+
+    ``engine``/``engine_declined`` are the run's
+    :class:`~repro.cache.backends.EngineChoice` (``None`` in records
+    written before it was kept).
+    """
 
     fingerprint: str
     wall_seconds: Optional[float] = None
+    engine: Optional[str] = None
+    engine_declined: Optional[str] = None
     host: str = ""
     repro_version: str = ""
     created_at: float = 0.0
 
     @classmethod
-    def now(cls, fingerprint: str, wall_seconds: Optional[float] = None) -> "RunMeta":
+    def now(
+        cls,
+        fingerprint: str,
+        wall_seconds: Optional[float] = None,
+        engine: Optional[EngineChoice] = None,
+    ) -> "RunMeta":
         from repro import __version__
 
         return cls(
             fingerprint=fingerprint,
             wall_seconds=wall_seconds,
+            engine=engine.engine if engine is not None else None,
+            engine_declined=engine.declined if engine is not None else None,
             host=socket.gethostname(),
             repro_version=__version__,
             created_at=time.time(),
@@ -250,6 +266,8 @@ def result_record(
         "spec": spec_to_dict(spec),
         "meta": {
             "wall_seconds": meta.wall_seconds,
+            "engine": meta.engine,
+            "engine_declined": meta.engine_declined,
             "host": meta.host,
             "repro_version": meta.repro_version,
             "created_at": meta.created_at,
@@ -336,11 +354,15 @@ class ResultStore:
         if not fingerprint:
             return
         if kind == "result":
+            meta = RunMeta(fingerprint=fingerprint, **record["meta"])
+            result = result_from_dict(record["result"])
+            if meta.engine is not None:
+                result.engine = EngineChoice(meta.engine, meta.engine_declined)
             self._results[fingerprint] = StoredResult(
                 fingerprint=fingerprint,
                 spec=spec_from_dict(record["spec"]),
-                result=result_from_dict(record["result"]),
-                meta=RunMeta(fingerprint=fingerprint, **record["meta"]),
+                result=result,
+                meta=meta,
             )
             self._failures.pop(fingerprint, None)
         elif kind == "failure":
@@ -396,7 +418,7 @@ class ResultStore:
         wall_seconds: Optional[float] = None,
     ) -> StoredResult:
         """Persist one completed run (and its telemetry trace, if any)."""
-        meta = RunMeta.now(fingerprint, wall_seconds=wall_seconds)
+        meta = RunMeta.now(fingerprint, wall_seconds=wall_seconds, engine=result.engine)
         self._append(result_record(fingerprint, spec, result, meta))
         if result.telemetry is not None:
             self.traces_dir.mkdir(parents=True, exist_ok=True)

@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["classic", "vector"],
         default="classic",
         help="cache engine (results are certified bit-exact either way; "
-        "vector is the numpy batch engine, see docs/simulator.md)",
+        "vector is the numpy batch engine, built from 1,024 LLC sets up "
+        "and classic below, see docs/simulator.md)",
     )
     run_p.add_argument(
         "--telemetry-out",
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["classic", "vector"],
         default="classic",
         help="cache engine for every run (results are certified bit-exact "
-        "either way)",
+        "either way; vector is built from 1,024 LLC sets up)",
     )
     ten_p.add_argument("--json", default=None, metavar="PATH",
                        help="also write the full result dict as JSON")

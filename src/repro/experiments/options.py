@@ -57,8 +57,9 @@ class RunOptions:
             corrupting results. Off by default (it audits the whole cache
             periodically — see ``docs/testing.md`` for the overhead).
         backend: cache engine, ``"classic"`` or ``"vector"`` (see
-            :func:`repro.cache.backends.build_cache`). The engines are
-            certified bit-exact, so this is a speed knob, not a result
+            :func:`repro.cache.backends.build_cache`: ``"vector"`` builds
+            the vector engine only from 1,024 LLC sets up). The engines
+            are certified bit-exact, so this is a speed knob, not a result
             knob — it is excluded from campaign fingerprints.
     """
 

@@ -25,10 +25,10 @@ per-interval trace in ``result.telemetry``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.cache.backends import build_cache
+from repro.cache.backends import EngineChoice, build_cache
 from repro.cpu.memory import MemoryModel
 from repro.cpu.system import CoreResult, MultiCoreSystem, run_standalone
 from repro.experiments.configs import MachineConfig
@@ -98,6 +98,12 @@ class WorkloadResult:
     evictions/demotions). ``telemetry`` is populated only when the run was
     made with ``telemetry=`` enabled, and ``tenant_slo`` only for
     multi-tenant workloads (see :mod:`repro.tenancy`).
+
+    ``engine`` is the shared run's :class:`~repro.cache.backends.EngineChoice`:
+    the engine that ran and why a ``"vector"`` request was declined. Like
+    ``RunTiming``, it is provenance, not a result: the engines are
+    certified bit-exact, so it is left out of equality (and of
+    ``result_to_dict``, fingerprints and reports).
     """
 
     mix: str
@@ -119,6 +125,7 @@ class WorkloadResult:
     targets: Optional[List[float]] = None
     telemetry: Optional[RunTelemetry] = None
     tenant_slo: Optional[TenantSLOReport] = None
+    engine: Optional[EngineChoice] = field(default=None, compare=False)
 
     def shared_ipcs(self) -> List[float]:
         return [c.ipc for c in self.cores]
@@ -208,19 +215,20 @@ def _build_run_cache(geometry, num_cores, policy, scheme_obj, backend, check, **
 
     The one place a run's checker is attached. The checker audits the
     engine-neutral ``cache.state()`` view, so it audits whichever engine
-    ``backend`` selects. Returns ``(cache, checker)``; ``checker`` is
-    ``None`` for unchecked runs.
+    ``backend`` selects. Returns ``(cache, checker, engine)``: ``checker``
+    is ``None`` for unchecked runs, and ``engine`` is ``build_cache``'s
+    :class:`~repro.cache.backends.EngineChoice`.
     """
-    cache, _ = build_cache(
+    cache, engine = build_cache(
         geometry, num_cores, policy=policy, scheme=scheme_obj, backend=backend,
         **kwargs,
     )
     if not check:
-        return cache, None
+        return cache, None, engine
     # Imported lazily: unchecked runs never touch the check package.
     from repro.check.invariants import attach_checker
 
-    return cache, attach_checker(cache)
+    return cache, attach_checker(cache), engine
 
 
 def _check_clusters(source, clusters: Optional[int]) -> None:
@@ -277,7 +285,7 @@ def _run_belady(
     from repro.cache.replacement.lru import LRUPolicy
     from repro.check.belady import belady_workload_run
 
-    rec_cache, checker = _build_run_cache(
+    rec_cache, checker, engine = _build_run_cache(
         config.geometry, config.num_cores, LRUPolicy(), None, backend, check
     )
     system = MultiCoreSystem(
@@ -314,6 +322,7 @@ def _run_belady(
         throughput=ipc_throughput(mp_ipcs),
         weighted_speedup=weighted_speedup(sp_ipcs, mp_ipcs),
         intervals=result.intervals,
+        engine=engine,
     )
 
 
@@ -360,8 +369,11 @@ def run_workload(
             :class:`~repro.check.InvariantViolation` on any inconsistency.
         backend: cache engine, ``"classic"`` or ``"vector"``; results are
             certified bit-exact either way (``repro-sim check fuzz
-            --backend vector``). Configurations the vector engine cannot
-            represent fall back to classic with a ``RuntimeWarning``.
+            --backend vector``). A ``"vector"`` request runs the classic
+            engine below :data:`~repro.cache.backends.VECTOR_MIN_SETS` LLC
+            sets, and with a ``RuntimeWarning`` for configurations the
+            vector engine cannot represent; ``result.engine`` records
+            which engine ran and why.
         clusters: cluster-granular management for shared-data workloads
             (see :mod:`repro.clustering`); raises for workload kinds
             that do not support it.
@@ -424,7 +436,7 @@ def run_workload(
     scheme_obj, policy = build_scheme(
         scheme, config.num_cores, sp_ipcs, **(scheme_kwargs or {})
     )
-    cache, checker = _build_run_cache(
+    cache, checker, engine = _build_run_cache(
         config.geometry, config.num_cores, policy, scheme_obj, backend, check
     )
     recorder: Optional[TelemetryRecorder] = None
@@ -461,5 +473,6 @@ def run_workload(
         weighted_speedup=weighted_speedup(sp_ipcs, mp_ipcs),
         intervals=result.intervals,
         telemetry=recorder.result() if recorder is not None else None,
+        engine=engine,
         **_scheme_diagnostics(scheme_obj),
     )

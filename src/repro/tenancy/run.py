@@ -241,7 +241,7 @@ def run_trace_workload(
     scheme_obj, policy = build_scheme(
         scheme, acct_cores, acct_standalone, **(scheme_kwargs or {})
     )
-    cache, checker = _build_run_cache(
+    cache, checker, engine = _build_run_cache(
         config.geometry, acct_cores, policy, scheme_obj, backend, check,
         core_map=core_map, track_sharers=check,
     )
@@ -349,6 +349,7 @@ def run_trace_workload(
         intervals=cache.intervals_completed,
         telemetry=run_telemetry if telemetry else None,
         tenant_slo=slo,
+        engine=engine,
         **_scheme_diagnostics(scheme_obj),
     )
 

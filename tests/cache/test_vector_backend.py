@@ -18,13 +18,13 @@ import pytest
 
 from repro.cache import vector as vector_module
 from repro.cache.cache import SharedCache
-from repro.cache.encode import encode_trace
+from repro.cache.encode import SLICE, BatchResults, encode_trace
 from repro.cache.geometry import CacheGeometry
 from repro.cache.shadow import ShadowTagMonitor
 from repro.cache.replacement.dip import DIPPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.srrip import SRRIPPolicy
-from repro.cache.vector import BatchResults, VectorCache, VectorUnsupported
+from repro.cache.vector import VectorCache, VectorUnsupported
 from repro.core import HitMaxPolicy
 from repro.core.prism import PrismScheme
 from repro.partitioning.unmanaged import UnmanagedScheme
@@ -190,27 +190,36 @@ def test_large_llc_auto_keeps_the_batch_route():
 def test_per_access_replay_of_a_ragged_batch(calls):
     """Batch lengths that are no multiple of the slice size replay exactly,
     and the access positions carry over between calls."""
-    n = 2 * vector_module._SLICE + 37
+    n = 2 * SLICE + 37
     _replay_both("prism", GEO_S, _stream(GEO_S, 8, n), calls=calls)
 
 
 def test_classic_access_many_matches_scalar_drive():
-    """The classic batch path is the scalar loop, access for access."""
-    stream = _stream(GEO_M, 42, 3000)
-    scheme = PrismScheme(HitMaxPolicy(), seed=5, interval_len=257)
-    scalar = SharedCache(GEO_M, NUM_CORES, scheme=scheme)
-    batched = SharedCache(
-        GEO_M, NUM_CORES,
-        scheme=PrismScheme(HitMaxPolicy(), seed=5, interval_len=257),
-    )
-    scalar_results = [scalar.access(core, addr) for core, addr in stream]
-    batch = batched.access_many(encode_trace(stream, GEO_M), collect=True)
-    assert len(batch) == len(scalar_results)
-    for a, b in zip(scalar_results, batch):
-        assert (a.hit, a.set_index, a.evicted_core, a.evicted_addr) == (
-            b.hit, b.set_index, b.evicted_core, b.evicted_addr
+    """The classic batch path is the scalar loop, access for access, across
+    its slice boundaries and with intervals ending mid-slice."""
+    for n, interval_len in [(3000, 257), (SLICE + 300, 700)]:
+        stream = _stream(GEO_M, 42, n)
+        scheme = PrismScheme(HitMaxPolicy(), seed=5, interval_len=interval_len)
+        scalar = SharedCache(GEO_M, NUM_CORES, scheme=scheme)
+        batched = SharedCache(
+            GEO_M, NUM_CORES,
+            scheme=PrismScheme(HitMaxPolicy(), seed=5, interval_len=interval_len),
         )
-    _assert_equivalent(scalar, batched, "prism")
+        scalar_results = [scalar.access(core, addr) for core, addr in stream]
+        # Each interval ends on its interval_len-th miss: at least one must
+        # fall strictly inside a slice, and the batch must span two.
+        misses = [i for i, r in enumerate(scalar_results) if not r.hit]
+        ends = misses[interval_len - 1::interval_len]
+        assert scalar.intervals_completed == len(ends)
+        assert n > SLICE and any(0 < end % SLICE < SLICE - 1 for end in ends)
+        batch = batched.access_many(encode_trace(stream, GEO_M), collect=True)
+        assert isinstance(batch, BatchResults)
+        assert len(batch) == len(scalar_results)
+        for a, b in zip(scalar_results, batch):
+            assert (a.hit, a.set_index, a.evicted_core, a.evicted_addr) == (
+                b.hit, b.set_index, b.evicted_core, b.evicted_addr
+            )
+        _assert_equivalent(scalar, batched, "prism")
 
 
 def test_classic_access_many_cores_addrs_form():

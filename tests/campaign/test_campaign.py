@@ -177,14 +177,17 @@ class TestSpecFieldsSurvive:
 
         # Fork carries the patch into the workers.
         monkeypatch.setattr(parallel_module, "run_workload", vector_only)
+        # 1,024 LLC sets, so a vector request builds the vector engine.
+        config = machine(4, scale_factor=4, instructions=3_000)
         spec = RunSpec("Q1", "prism-h", backend="vector")
-        camp = Campaign(tmp_path / "s", CONFIG, [spec, RunSpec("Q2", backend="vector")],
+        camp = Campaign(tmp_path / "s", config, [spec, RunSpec("Q2", backend="vector")],
                         retries=0)
         run = camp.run(jobs=jobs)
         assert run.failed == 0 and run.executed == 2
         loaded = Campaign.load(tmp_path / "s")
         assert loaded.specs[0] == spec
-        assert loaded.results()[0] == run_specs([spec], CONFIG, jobs=1)[0]
+        assert loaded.results()[0] == run_specs([spec], config, jobs=1)[0]
+        assert {s.meta.engine for s in ResultStore(tmp_path / "s").results()} == {"vector"}
 
 
 class TestStoreBackedRunSpecs:

@@ -383,13 +383,15 @@ class TestRunnerWiring:
         assert result.intervals == 0
 
     def test_belady_recording_run_honours_backend(self):
-        config = machine(4, instructions=20_000, l1="inclusive")
+        # 1,024 LLC sets, so a vector request builds the vector engine.
+        config = machine(4, scale_factor=4, instructions=20_000, l1="inclusive")
         classic = run_workload("Q1", config, "belady")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # no fallback
             vector = run_workload("Q1", config, "belady", backend="vector")
             checked = run_workload("Q1", config, "belady", backend="vector",
                                    check=True)
+        assert vector.engine.engine == checked.engine.engine == "vector"
         assert vector == classic
         assert checked == classic
 
@@ -407,7 +409,7 @@ class TestRunnerWiring:
             return attach(cache, every)
 
         monkeypatch.setattr(invariants, "attach_checker", recording_attach)
-        config = machine(4, instructions=20_000, l1=l1)
+        config = machine(4, scale_factor=4, instructions=20_000, l1=l1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = run_workload(mix, config, "prism-h", seed=3, check=True,

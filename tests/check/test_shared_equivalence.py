@@ -37,6 +37,9 @@ from repro.experiments.runner import (
 from repro.workloads.shared import get_shared_workload
 
 CFG = machine(4, instructions=20_000)
+#: 1,024 LLC sets: the smallest machine a vector request builds the vector
+#: engine on, so the cross-engine tests compare two engines.
+WIDE = machine(4, scale_factor=4, instructions=20_000)
 
 
 def shared_stream(requests=1500, seed=7, chunk_size=512):
@@ -95,14 +98,15 @@ class TestRunSharedWorkload:
     def test_checked_vector_run_equals_checked_classic(self):
         source = get_shared_workload("smoke4")
         classic = run_shared_workload(
-            source, CFG, "prism-h", seed=1, check=True, clusters=2
+            source, WIDE, "prism-h", seed=1, check=True, clusters=2
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             vector = run_shared_workload(
-                source, CFG, "prism-h", seed=1, backend="vector", check=True,
+                source, WIDE, "prism-h", seed=1, backend="vector", check=True,
                 clusters=2,
             )
+        assert vector.engine.engine == "vector"
         assert vector == classic
 
     def test_clustering_changes_managed_runs(self):
@@ -121,17 +125,18 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("clusters", [None, 2])
     def test_vector_matches_classic_bit_for_bit(self, scheme, clusters):
         source = get_shared_workload("smoke4")
-        classic = run_shared_workload(source, CFG, scheme, seed=3, clusters=clusters)
+        classic = run_shared_workload(source, WIDE, scheme, seed=3, clusters=clusters)
         vector = run_shared_workload(
-            source, CFG, scheme, seed=3, clusters=clusters, backend="vector"
+            source, WIDE, scheme, seed=3, clusters=clusters, backend="vector"
         )
+        assert vector.engine.engine == "vector"
         assert classic == vector  # dataclass eq: every field, exactly
 
     def test_solo_baselines_match_across_backends(self):
         source = get_shared_workload("smoke4")
-        classic = shared_standalone(source, CFG, cache=StandaloneIPCCache())
+        classic = shared_standalone(source, WIDE, cache=StandaloneIPCCache())
         vector = shared_standalone(
-            source, CFG, cache=StandaloneIPCCache(), backend="vector"
+            source, WIDE, cache=StandaloneIPCCache(), backend="vector"
         )
         assert classic == vector
 
@@ -142,15 +147,16 @@ class TestDeterminism:
         """Same spec twice (cold solo cache both times) -> equal results."""
         source = get_shared_workload("smoke4")
         a = run_shared_workload(
-            source, CFG, "prism-f", seed=3, clusters=2, backend=backend
+            source, WIDE, "prism-f", seed=3, clusters=2, backend=backend
         )
+        assert a.engine.engine == backend
         DEFAULT_STANDALONE_CACHE.clear()
         b = run_shared_workload(
-            source, CFG, "prism-f", seed=3, clusters=2, backend=backend
+            source, WIDE, "prism-f", seed=3, clusters=2, backend=backend
         )
         assert a == b
         c = run_shared_workload(
-            source, CFG, "prism-f", seed=4, clusters=2, backend=backend
+            source, WIDE, "prism-f", seed=4, clusters=2, backend=backend
         )
         assert a != c
 

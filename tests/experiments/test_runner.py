@@ -15,6 +15,9 @@ from repro.experiments.runner import (
 from repro.workloads.spec import get_profile
 
 CFG = machine(4, instructions=40_000)
+#: 1,024 LLC sets: the smallest machine a vector request builds the vector
+#: engine on, so the backend tests reach it.
+WIDE = machine(4, scale_factor=4, instructions=40_000)
 
 
 class TestRunWorkload:
@@ -112,7 +115,7 @@ class TestRunWorkload:
             # warning), so the explicit classic backend must win.
             warnings.simplefilter("error", RuntimeWarning)
             run_workload(
-                "Q1", CFG, "ucp", backend="classic",
+                "Q1", WIDE, "ucp", backend="classic",
                 options=RunOptions(backend="vector"),
             )
 
@@ -200,8 +203,9 @@ class TestBackendSelection:
     """run_workload's backend axis: bit-exact results, loud fallbacks."""
 
     def test_vector_backend_matches_classic(self):
-        classic = run_workload("Q1", CFG, "prism-h")
-        vector = run_workload("Q1", CFG, "prism-h", backend="vector")
+        classic = run_workload("Q1", WIDE, "prism-h")
+        vector = run_workload("Q1", WIDE, "prism-h", backend="vector")
+        assert vector.engine.engine == "vector"
         assert vector.antt == classic.antt
         assert vector.fairness == classic.fairness
         for a, b in zip(classic.cores, vector.cores):
@@ -209,23 +213,27 @@ class TestBackendSelection:
             assert a.ipc == b.ipc
 
     def test_options_supply_backend(self):
-        explicit = run_workload("Q1", CFG, "dip", backend="vector")
+        explicit = run_workload("Q1", WIDE, "dip", backend="vector")
         via_options = run_workload(
-            "Q1", CFG, "dip", options=RunOptions(backend="vector")
+            "Q1", WIDE, "dip", options=RunOptions(backend="vector")
         )
+        assert via_options.engine == explicit.engine
+        assert via_options.engine.engine == "vector"
         assert via_options.antt == explicit.antt
 
     def test_checked_vector_run_equals_checked_classic(self):
         """--check audits the vector engine itself: no fallback, same run."""
-        classic = run_workload("Q1", CFG, "lru", check=True)
+        classic = run_workload("Q1", WIDE, "lru", check=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            vector = run_workload("Q1", CFG, "lru", backend="vector", check=True)
+            vector = run_workload("Q1", WIDE, "lru", backend="vector", check=True)
+        assert vector.engine.engine == "vector"
         assert vector == classic
 
     def test_unsupported_scheme_falls_back_loudly(self):
         """UCP is not vectorisable: classic fallback plus a RuntimeWarning."""
         with pytest.warns(RuntimeWarning, match="falling back"):
-            fell_back = run_workload("Q1", CFG, "ucp", backend="vector")
-        classic = run_workload("Q1", CFG, "ucp")
+            fell_back = run_workload("Q1", WIDE, "ucp", backend="vector")
+        classic = run_workload("Q1", WIDE, "ucp")
+        assert fell_back.engine.declined.startswith("unsupported: ")
         assert fell_back.antt == classic.antt

@@ -123,12 +123,17 @@ class TestSpecFieldsSurvive:
         # workers apply the same patch before they serve.
         monkeypatch.setattr(parallel_module, "run_workload", vector_only)
         specs = [RunSpec(mix, "prism-h", backend="vector") for mix in MIXES]
+        # 1,024 LLC sets, so a vector request builds the vector engine.
+        config = machine(4, scale_factor=4, instructions=3_000)
         for kind, kwargs in [("fork", {"jobs": 2}),
                              ("exec", {"commands": patched_workers(2, self.VECTOR_ONLY)})]:
-            run = Campaign(tmp_path / kind, CONFIG, specs, retries=0).run(**kwargs)
+            run = Campaign(tmp_path / kind, config, specs, retries=0).run(**kwargs)
             assert run.executed == len(specs) and run.failed == 0, run.failures
-            stored = {s.spec for s in ResultStore(tmp_path / kind).results()}
+            records = ResultStore(tmp_path / kind).results()
+            stored = {s.spec for s in records}
             assert stored == set(specs)
+            assert {s.meta.engine for s in records} == {"vector"}
+            assert all(s.result.engine.engine == "vector" for s in records)
             assert Campaign.load(tmp_path / kind).specs == specs
 
 

@@ -15,6 +15,9 @@ from repro.tenancy import run_tenant_workload, tenant_standalone
 from repro.workloads.tenants import DEFAULT_CHUNK, get_tenant_workload
 
 CFG = machine(4, instructions=20_000)
+#: 1,024 LLC sets: the smallest machine a vector request builds the vector
+#: engine on, so the cross-engine tests compare two engines.
+WIDE = machine(4, scale_factor=4, instructions=20_000)
 
 
 class TestRunTenantWorkload:
@@ -81,14 +84,15 @@ class TestRunTenantWorkload:
 
     def test_checked_vector_run_equals_checked_classic(self):
         classic = run_tenant_workload(
-            "tenants:smoke4", CFG, "prism-h", seed=1, check=True
+            "tenants:smoke4", WIDE, "prism-h", seed=1, check=True
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             vector = run_tenant_workload(
-                "tenants:smoke4", CFG, "prism-h", seed=1, backend="vector",
+                "tenants:smoke4", WIDE, "prism-h", seed=1, backend="vector",
                 check=True,
             )
+        assert vector.engine.engine == "vector"
         assert vector == classic
 
     def test_dispatches_through_run_workload(self):
@@ -101,18 +105,19 @@ class TestRunTenantWorkload:
 class TestBackendEquivalence:
     @pytest.mark.parametrize("scheme", ["lru", "prism-h", "prism-q", "cliff"])
     def test_vector_matches_classic_bit_for_bit(self, scheme):
-        classic = run_tenant_workload("tenants:smoke4", CFG, scheme, seed=3)
+        classic = run_tenant_workload("tenants:smoke4", WIDE, scheme, seed=3)
         vector = run_tenant_workload(
-            "tenants:smoke4", CFG, scheme, seed=3, backend="vector"
+            "tenants:smoke4", WIDE, scheme, seed=3, backend="vector"
         )
+        assert vector.engine.engine == "vector"
         assert classic == vector  # dataclass eq: every field, exactly
 
     def test_solo_baselines_match_across_backends(self):
         classic = tenant_standalone(
-            "tenants:smoke4", CFG, cache=StandaloneIPCCache()
+            "tenants:smoke4", WIDE, cache=StandaloneIPCCache()
         )
         vector = tenant_standalone(
-            "tenants:smoke4", CFG, cache=StandaloneIPCCache(), backend="vector"
+            "tenants:smoke4", WIDE, cache=StandaloneIPCCache(), backend="vector"
         )
         assert classic == vector
 

@@ -7,7 +7,8 @@ examples reaches it" is checked here instead of asserted. The script
 1. drives the offline CLI in one process: ``list``, ``cost``,
    ``characterize``, ``report --budget micro``, ``sweep``, ``tenants`` on
    both engines, ``run`` of every scheme plus the hierarchy, DRAM,
-   ``--check``, vector, telemetry, clustered and tenant variants,
+   ``--check``, vector (at 1,024 sets), telemetry, clustered and tenant
+   variants,
    ``compare ... belady``, ``check fuzz`` (classic, vector, ``--sharing``),
    campaign ``run``/``status``/``export``/``resume`` and every registry
    experiment, all at small budgets; then every example except
@@ -57,6 +58,10 @@ BLIND_SPOTS = (
 
 #: Small per-run budget (instructions, or requests for trace workloads).
 BUDGET = "5000"
+
+#: A 1,024-set LLC: below that, a ``--backend vector`` request builds the
+#: classic engine, so the vector runs pass this to reach the vector engine.
+WIDE = ("--scale-factor", "4")
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ def cli_invocations(tmp: Path) -> List[List[str]]:
         ["sweep", "interval_len", "64", "128", "--mix", "Q1", "--instructions", BUDGET],
         ["tenants", "--workload", "smoke4", "--requests", BUDGET],
         ["tenants", "--workload", "smoke4", "--requests", BUDGET, "--backend", "vector",
-         "--json", str(tmp / "tenants.json"), "--csv", str(tmp / "tenants")],
+         *WIDE, "--json", str(tmp / "tenants.json"), "--csv", str(tmp / "tenants")],
     ]
     out += [["run", "--mix", "Q1", "--scheme", scheme, "--instructions", BUDGET]
             for scheme in sorted(SCHEMES)]
@@ -160,8 +165,8 @@ def cli_invocations(tmp: Path) -> List[List[str]]:
         run + ["--l1", "non-inclusive", "--dram-banks", "2", "--dram-row-blocks", "4"],
         run + ["--check"],
         run + ["--l1", "inclusive", "--check"],
-        run + ["--backend", "vector"],
-        run + ["--backend", "vector", "--check"],
+        run + ["--backend", "vector", *WIDE],
+        run + ["--backend", "vector", *WIDE, "--check"],
         run + ["--telemetry-out", str(tmp / "trace.jsonl")],
         run + ["--telemetry-out", str(tmp / "trace.csv")],
         ["run", "--mix", "shared:smoke4", "--scheme", "prism-f", "--clusters", "2",
@@ -170,7 +175,7 @@ def cli_invocations(tmp: Path) -> List[List[str]]:
          "--instructions", BUDGET, "--check"],
         ["run", "--mix", "tenants:smoke4", "--scheme", "prism-h", "--instructions", BUDGET],
         ["run", "--mix", "tenants:smoke4", "--scheme", "prism-h", "--instructions", BUDGET,
-         "--backend", "vector"],
+         "--backend", "vector", *WIDE],
         ["compare", "--mix", "Q1", "--instructions", BUDGET, "--l1", "inclusive",
          "lru", "prism-h", "belady"],
         ["check", "fuzz", "--cases", "10", "--quiet"],
