@@ -11,14 +11,17 @@ Also runnable directly (no pytest-benchmark needed)::
 
 which times every scenario over ``--rounds`` rounds (at least 3;
 ``time.perf_counter``, one untimed warm-up round first) and records each
-timing's median, quartiles, min, max and ``n``; times the workload
+timing's median, quartiles, min, max and ``n`` beside the best-round
+rates the trajectory has always kept (``*_aps``, ``accesses_per_sec``,
+``best_seconds`` and every ``speedup`` are best round against best
+round, as in earlier entries); times the workload
 streams' bulk ``take`` against per-call ``next_access()``; runs the
 classic and vector backends side by side on the wide backend-comparison
 scenarios with their speedup ratio; and, report only (left out of
 ``--check-floors`` runs), times both engines and both vector routes at
-the drivers' geometries (64 to 4,096 sets) and the ``tenants:web8`` lru +
-prism-h driver call on both engines at 512 to 2,048 sets (the rows behind
-``repro.cache.backends.VECTOR_MIN_SETS``). It *appends* a run entry
+the drivers' geometries (64 to 4,096 sets) and whole ``tenants:web8`` and
+``Q7`` driver calls per scheme on both engines at 512 to 2,048 sets (the
+rows behind ``repro.cache.backends.VECTOR_MIN_SETS``). It *appends* a run entry
 (keyed by git SHA) to ``BENCH_speed.json`` — the trajectory artifact CI
 archives so hot-path throughput accumulates per PR instead of being
 overwritten. ``--check-floors`` turns the run into the CI
@@ -224,9 +227,9 @@ def _spread(seconds):
     }
 
 
-def _aps(accesses, spread):
-    """Accesses per second at the median round."""
-    return round(accesses / spread["median_s"], 1)
+def _aps(accesses, seconds):
+    """Accesses per second at the best round (the trajectory's statistic)."""
+    return round(accesses / min(seconds), 1)
 
 
 def run_backends(accesses: int = 400_000, rounds: int = 3) -> dict:
@@ -258,20 +261,19 @@ def run_backends(accesses: int = 400_000, rounds: int = 3) -> dict:
                 access(core, addr)
 
         classic_s = _timings(classic_scalar, rounds)
-        classic_batch = _spread(
-            _timings(lambda: classic_factory().access_many(encoded), rounds)
+        classic_batch_s = _timings(
+            lambda: classic_factory().access_many(encoded), rounds
         )
         vector_s = _timings(lambda: vector_factory().access_many(encoded), rounds)
-        classic, vector = _spread(classic_s), _spread(vector_s)
         results[name] = {
             "accesses": accesses,
             "rounds": rounds,
-            "classic": classic,
-            "classic_batch": classic_batch,
-            "vector": vector,
-            "classic_aps": _aps(accesses, classic),
-            "classic_batch_aps": _aps(accesses, classic_batch),
-            "vector_aps": _aps(accesses, vector),
+            "classic": _spread(classic_s),
+            "classic_batch": _spread(classic_batch_s),
+            "vector": _spread(vector_s),
+            "classic_aps": _aps(accesses, classic_s),
+            "classic_batch_aps": _aps(accesses, classic_batch_s),
+            "vector_aps": _aps(accesses, vector_s),
             "speedup": round(min(classic_s) / min(vector_s), 2),
             "floor": floor,
         }
@@ -425,54 +427,70 @@ def run_driver_geometries(accesses: int = 100_000, rounds: int = 3) -> dict:
 # -- whole driver calls around the vector threshold (report only) -----------
 #
 # build_cache builds the vector engine for a non-strict request only from
-# VECTOR_MIN_SETS LLC sets up. These rows time the call that decision is
-# about: the tenants:web8 lru + prism-h pair through run_workload (the e2e
-# web8 workload's round) on an 8-core machine scaled to each set count.
+# VECTOR_MIN_SETS LLC sets up. These rows time whole driver calls on both
+# engines at 512 to 2,048 sets, one scheme per row, through run_workload:
+#
+# - web8: the tenant driver on tenants:web8 (8 cores), which replays
+#   pre-encoded chunks through access_many (the e2e web8 workload's calls).
+#   Each call pays its stand-alone runs, which replay on the requested
+#   engine too.
+# - q7: the mix driver on Q7 (4 cores), where MultiCoreSystem steps
+#   cache.access once per access (what `repro-sim run --mix` does). Its
+#   stand-alone runs are classic whatever the request, so they are
+#   memoised by the untimed warm-up call and left out.
+#
 # The vector column lowers the threshold for the call, so the same driver
 # code builds the vector engine below it too.
 
 DRIVER_CALL_SETS = (512, 1024, 2048)
+DRIVER_CALL_SCHEMES = ("lru", "prism-h", "dip")
+
+#: row prefix -> (workload, cores, requests or instructions per core,
+#: memoise the stand-alone runs)
+DRIVER_CALLS = {
+    "web8": ("tenants:web8", 8, 75_000, False),
+    "q7": ("Q7", 4, 300_000, True),
+}
 
 
-def _driver_call(config, backend, requests):
-    from repro.experiments.runner import StandaloneIPCCache, run_workload
-
-    memo = StandaloneIPCCache()  # each call pays its stand-alone runs
-    for scheme in ("lru", "prism-h"):
-        result = run_workload(
-            "tenants:web8", config, scheme, seed=0, instructions=requests,
-            standalone_cache=memo, backend=backend,
-        )
-        assert result.engine.engine == backend, result.engine
-
-
-def run_driver_calls(requests: int = 75_000, rounds: int = 3) -> dict:
-    """The web8 lru + prism-h driver call on both engines at 512-2,048 sets."""
+def run_driver_calls(rounds: int = 3) -> dict:
+    """Whole driver calls per scheme on both engines at 512-2,048 sets."""
     from repro.cache import backends
     from repro.experiments.configs import PAPER_LLC, machine
+    from repro.experiments.runner import StandaloneIPCCache, run_workload
 
-    size, assoc, _ = PAPER_LLC[8]
     results = {}
     saved = backends.VECTOR_MIN_SETS
     backends.VECTOR_MIN_SETS = 0
     try:
-        for num_sets in DRIVER_CALL_SETS:
-            config = machine(8, scale_factor=size // (num_sets * assoc * 64))
-            assert config.geometry.num_sets == num_sets
-            row = {"sets": num_sets, "requests": requests, "rounds": rounds}
-            for backend in ("classic", "vector"):
-                row[backend] = _spread(_timings(
-                    lambda: _driver_call(config, backend, requests), rounds
-                ))
-            results[f"web8_{num_sets}"] = row
+        for prefix, (mix, cores, length, memoise) in DRIVER_CALLS.items():
+            size, assoc, _ = PAPER_LLC[cores]
+            for num_sets in DRIVER_CALL_SETS:
+                config = machine(cores, scale_factor=size // (num_sets * assoc * 64))
+                assert config.geometry.num_sets == num_sets
+                memo = StandaloneIPCCache()
+                for scheme in DRIVER_CALL_SCHEMES:
+                    row = {"workload": mix, "scheme": scheme, "sets": num_sets,
+                           "length": length, "rounds": rounds}
+                    for backend in ("classic", "vector"):
+                        def call():
+                            result = run_workload(
+                                mix, config, scheme, seed=0, instructions=length,
+                                standalone_cache=memo if memoise else StandaloneIPCCache(),
+                                backend=backend,
+                            )
+                            assert result.engine.engine == backend, result.engine
+
+                        row[backend] = _spread(_timings(call, rounds))
+                    results[f"{prefix}_{scheme}_{num_sets}"] = row
     finally:
         backends.VECTOR_MIN_SETS = saved
     return results
 
 
 def run_standalone(accesses: int = 100_000, rounds: int = 3) -> dict:
-    """Timing spread and median accesses/second for every classic-only
-    scenario."""
+    """Timing spread and best-round accesses/second for every
+    classic-only scenario."""
     rng = make_rng(1, "speed")
     stream = [(rng.randrange(4), rng.randrange(3000)) for _ in range(accesses)]
     results = {}
@@ -482,12 +500,13 @@ def run_standalone(accesses: int = 100_000, rounds: int = 3) -> dict:
         def run():
             holder["misses"] = _drive(factory(), stream)
 
-        seconds = _spread(_timings(run, rounds))
+        seconds = _timings(run, rounds)
         assert holder["misses"] > 0
         results[name] = {
             "accesses": accesses,
             "rounds": rounds,
-            "seconds": seconds,
+            "seconds": _spread(seconds),
+            "best_seconds": round(min(seconds), 6),
             "accesses_per_sec": _aps(accesses, seconds),
         }
     return results
@@ -523,18 +542,18 @@ def run_streams(accesses: int = 100_000, rounds: int = 3) -> dict:
                 next_access()
 
     total = per_profile * len(profiles)
-    take = _spread(_timings(bulk, rounds))
-    call = _spread(_timings(per_call, rounds))
+    take = _timings(bulk, rounds)
+    call = _timings(per_call, rounds)
     return {
         "profiles": [p.name for p in profiles],
         "accesses": total,
         "rounds": rounds,
         "chunk": _CHUNK,
-        "take": take,
-        "next_access": call,
+        "take": _spread(take),
+        "next_access": _spread(call),
         "take_aps": _aps(total, take),
         "next_access_aps": _aps(total, call),
-        "speedup": round(call["median_s"] / take["median_s"], 2),
+        "speedup": round(min(call) / min(take), 2),
     }
 
 
@@ -623,8 +642,7 @@ def main(argv=None) -> int:
     failures = []
     if not args.skip_backends:
         backends = run_backends(accesses=args.backend_accesses, rounds=args.rounds)
-        print("\nbackend comparison (accesses/sec at the median round; speedup "
-              "best round against best round):")
+        print("\nbackend comparison (accesses/sec, best round after warm-up):")
         print(f"{'scenario':>12} {'classic':>12} {'classic-batch':>14} "
               f"{'vector':>12} {'speedup':>8}")
         for name, row in backends.items():
@@ -651,14 +669,14 @@ def main(argv=None) -> int:
                   f"{row['vector_per_access']['median_s']:>8.3f}  "
                   f"{row['auto_route']}")
         driver_calls = run_driver_calls(rounds=args.rounds)
-        print("\nweb8 lru + prism-h driver call (median [q1, q3] s, report only):")
+        print("\nwhole driver calls (median [q1, q3] s, report only):")
         for name, row in driver_calls.items():
             cells = "  ".join(
                 f"{backend} {row[backend]['median_s']:.3f} "
                 f"[{row[backend]['q1_s']:.3f}, {row[backend]['q3_s']:.3f}]"
                 for backend in ("classic", "vector")
             )
-            print(f"{name:>12}  {cells}")
+            print(f"{name:>18}  {cells}")
 
     entry = {
         "sha": _git_sha(),

@@ -14,13 +14,11 @@ The two are certified bit-exact by ``repro-sim check fuzz --backend
 vector`` (see :mod:`repro.check.differential`), which is why the backend
 is *excluded* from campaign fingerprints: a result does not depend on it.
 
-:func:`build_cache` is the one place the choice is made, and a
-``"vector"`` request is a request for the faster engine, not an order:
+:func:`build_cache` is the one place the choice is made:
 
-- below :data:`VECTOR_MIN_SETS` LLC sets the classic engine runs a whole
-  driver call faster (every default ``machine()`` has 64 sets; see
-  ``docs/simulator.md``, "Backends"), so the request builds the classic
-  engine, quietly;
+- below :data:`VECTOR_MIN_SETS` LLC sets a ``"vector"`` request builds
+  the classic engine, quietly (every default ``machine()`` has 64 sets;
+  see :data:`VECTOR_MIN_SETS` for the measurements and their limits);
 - from it up, the vector engine is built unless it cannot represent the
   configuration: it raises :class:`~repro.cache.vector.VectorUnsupported`
   at construction time, which ``build_cache`` turns into a loud
@@ -49,10 +47,17 @@ __all__ = ["BACKENDS", "VECTOR_MIN_SETS", "EngineChoice", "build_cache", "resolv
 BACKENDS = ("classic", "vector")
 
 #: A non-strict ``"vector"`` request builds the vector engine only from
-#: this many LLC sets up. Whole driver calls (the tenants:web8 lru +
-#: prism-h pair, the ``driver_calls`` rows of
-#: benchmarks/bench_simulator_speed.py) run faster on the classic engine
-#: at 512 sets and on the vector engine from 1,024 sets.
+#: this many LLC sets up. The ``driver_calls`` rows of
+#: benchmarks/bench_simulator_speed.py time whole driver calls on both
+#: engines at 512-2,048 sets: the tenant driver (tenants:web8, chunks
+#: replayed through ``access_many``) and the per-access mix driver (Q7,
+#: ``run --mix``), each under lru, prism-h and dip. Below the constant
+#: classic is as fast or faster in every row but one, the tenant driver
+#: under unmanaged LRU. From it up the vector engine wins every tenant
+#: row, but the mix driver is slower on it at 1,024 sets and level at
+#: 2,048: the constant is backed by the tenant driver only, and a
+#: ``run --mix`` vector request above it gets the slower or an equal
+#: engine.
 VECTOR_MIN_SETS = 1024
 
 

@@ -63,8 +63,11 @@ __all__ = [
     "failure_record",
 ]
 
-#: results.jsonl schema version.
-STORE_FORMAT = 1
+#: results.jsonl schema version. Format 2 added ``engine`` and
+#: ``engine_declined`` to a result record's ``meta``; format-1 records
+#: still load (with both ``None``), and meta keys a later format adds are
+#: skipped on load rather than rejected.
+STORE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,10 @@ class RunMeta:
             repro_version=__version__,
             created_at=time.time(),
         )
+
+
+#: The ``meta`` keys a stored result record may set on :class:`RunMeta`.
+_META_FIELDS = frozenset(f.name for f in fields(RunMeta)) - {"fingerprint"}
 
 
 @dataclass(frozen=True)
@@ -354,7 +361,10 @@ class ResultStore:
         if not fingerprint:
             return
         if kind == "result":
-            meta = RunMeta(fingerprint=fingerprint, **record["meta"])
+            meta = RunMeta(fingerprint=fingerprint, **{
+                key: value for key, value in record["meta"].items()
+                if key in _META_FIELDS
+            })
             result = result_from_dict(record["result"])
             if meta.engine is not None:
                 result.engine = EngineChoice(meta.engine, meta.engine_declined)

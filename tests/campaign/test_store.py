@@ -118,6 +118,27 @@ class TestRoundTrip:
         assert stored.meta.wall_seconds == 1.5
         assert stored.meta.repro_version
         assert stored.meta.host
+        assert stored.meta.engine == "classic"
+        assert reopened.get(fp).engine.engine == "classic"
+
+    @pytest.mark.parametrize("edit", ["format-1", "unknown-key"])
+    def test_other_format_meta_loads(self, tmp_path, prism_result, edit):
+        """A format-1 record (no engine keys) and a record whose meta
+        carries a key this version does not know both load."""
+        spec = RunSpec(mix="Q1", scheme="prism-h", seed=1)
+        fp = spec_fingerprint(spec, CONFIG)
+        ResultStore(tmp_path / "s").add_result(fp, spec, prism_result)
+        path = tmp_path / "s" / "results.jsonl"
+        record = json.loads(path.read_text())
+        if edit == "format-1":
+            record["format"] = 1
+            del record["meta"]["engine"], record["meta"]["engine_declined"]
+        else:
+            record["meta"]["added_later"] = {"any": "value"}
+        path.write_text(json.dumps(record) + "\n")
+        stored = ResultStore(tmp_path / "s").record_for(fp)
+        assert stored.result == prism_result
+        assert stored.meta.engine == (None if edit == "format-1" else "classic")
 
     def test_trace_lands_next_to_store(self, tmp_path, telemetry_result):
         spec = RunSpec(mix="Q1", scheme="prism-h", seed=1, telemetry=True)

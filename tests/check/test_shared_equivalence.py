@@ -144,19 +144,23 @@ class TestBackendEquivalence:
 class TestDeterminism:
     @pytest.mark.parametrize("backend", ["classic", "vector"])
     def test_two_runs_byte_identical(self, backend):
-        """Same spec twice (cold solo cache both times) -> equal results."""
+        """Same spec twice (cold solo cache both times) -> equal results.
+
+        Classic runs the default machine; vector needs ``WIDE`` to be built.
+        """
+        config = WIDE if backend == "vector" else CFG
         source = get_shared_workload("smoke4")
         a = run_shared_workload(
-            source, WIDE, "prism-f", seed=3, clusters=2, backend=backend
+            source, config, "prism-f", seed=3, clusters=2, backend=backend
         )
         assert a.engine.engine == backend
         DEFAULT_STANDALONE_CACHE.clear()
         b = run_shared_workload(
-            source, WIDE, "prism-f", seed=3, clusters=2, backend=backend
+            source, config, "prism-f", seed=3, clusters=2, backend=backend
         )
         assert a == b
         c = run_shared_workload(
-            source, WIDE, "prism-f", seed=4, clusters=2, backend=backend
+            source, config, "prism-f", seed=4, clusters=2, backend=backend
         )
         assert a != c
 
