@@ -53,11 +53,11 @@ BACKENDS = ("classic", "vector")
 #: replayed through ``access_many``) and the per-access mix driver (Q7,
 #: ``run --mix``), each under lru, prism-h and dip. Below the constant
 #: classic is as fast or faster in every row but one, the tenant driver
-#: under unmanaged LRU. From it up the vector engine wins every tenant
-#: row, but the mix driver is slower on it at 1,024 sets and level at
-#: 2,048: the constant is backed by the tenant driver only, and a
-#: ``run --mix`` vector request above it gets the slower or an equal
-#: engine.
+#: under unmanaged LRU. From it up the vector engine wins or ties every
+#: tenant row, but the mix driver is slower on it at 1,024 sets under
+#: every scheme and mixed at 2,048: the constant is backed by the tenant
+#: driver only, and a ``run --mix`` vector request above it often gets
+#: the slower engine.
 VECTOR_MIN_SETS = 1024
 
 
