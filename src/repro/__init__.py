@@ -23,6 +23,12 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.metrics` — ANTT, fairness, throughput,
 - :mod:`repro.experiments` — machine configs, runner, per-figure
   reproductions.
+
+``import repro`` does not import numpy: the timing-coupled paper path
+(streams, :class:`MultiCoreSystem`, the classic engine, the Belady replay,
+campaigns) never touches an array. numpy loads with the modules that use
+it — the trace families, the trace encoder, the vector engine and the
+``repro.check`` state audits (docs/simulator.md, "Imports and cold start").
 """
 
 from repro.cache import CacheGeometry, SharedCache

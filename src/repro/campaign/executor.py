@@ -16,7 +16,9 @@ client. One bad spec must not cost the other thousand, so
   framed stdio of :mod:`repro.campaign.stdio`. They heartbeat, and one
   silent for :data:`~repro.campaign.stdio.DEAD_AFTER_SECONDS` counts as
   crashed;
-- each idle worker takes the next pending spec. A worker whose attempt
+- each idle worker takes the first pending spec of a mix it has already
+  run (its stand-alone baselines are warm), else the first of a mix no
+  live worker has run, else the first pending spec. A worker whose attempt
   failed, crashed or ran past ``timeout`` seconds is SIGKILLed and
   replaced, so no attempt — a retry included — ever runs in a process a
   failure touched (a worker holds no state anyone needs: results only
@@ -221,6 +223,7 @@ class _Slot:
     started: float = 0.0
     results: int = 0
     doomed: bool = False  # the ``kill_after`` test hook fires after dispatch
+    mixes: set = field(default_factory=set)  # repr() of every mix its worker ran
 
 
 def iter_isolated(
@@ -281,6 +284,7 @@ def iter_isolated(
     from multiprocessing.connection import wait
 
     pending = deque((index, spec, 1) for index, spec in enumerate(specs))
+    mixes = [repr(spec.mix) for spec in specs]
     launched = 0
 
     def emit(event: str, slot: _Slot, **fields) -> None:
@@ -296,8 +300,20 @@ def iter_isolated(
             slot.worker = _ForkedWorker(name, config, siblings)
         else:
             slot.worker = StdioWorker(name, slot.argv, config)
-        slot.results, slot.doomed = 0, False
+        slot.results, slot.doomed, slot.mixes = 0, False, set()
         emit("start", slot, pid=slot.worker.pid, argv=slot.argv)
+
+    def take(slot: _Slot) -> Tuple[int, RunSpec, int]:
+        """Pop ``slot``'s next task, preferring mixes whose stand-alone
+        baselines its worker's memo already holds, then mixes no live
+        worker has started on."""
+        elsewhere = set().union(*(s.mixes for s in slots))
+        own = [task for task in pending if mixes[task[0]] in slot.mixes]
+        fresh = [task for task in pending if mixes[task[0]] not in elsewhere]
+        chosen = (own or fresh or pending)[0]
+        pending.remove(chosen)
+        slot.mixes.add(mixes[chosen[0]])
+        return chosen
 
     def retire(slot: _Slot, event: str, **fields) -> None:
         """Kill ``slot``'s worker; whatever runs next gets a fresh process."""
@@ -347,7 +363,7 @@ def iter_isolated(
                         continue
                     if slot.worker is None:
                         start(slot)
-                    slot.task = pending.popleft()
+                    slot.task = take(slot)
                     slot.started = time.monotonic()
                     try:
                         slot.worker.send(slot.task[1])

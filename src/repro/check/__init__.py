@@ -24,56 +24,9 @@ holds the machinery that keeps it honest:
 
 See ``docs/testing.md`` for the full invariant list and how to run the
 fuzzer locally (``repro-sim check fuzz``).
+
+The package re-exports nothing: import names from their modules. Only
+the invariant checker and the reference simulator audit numpy state views,
+so the ``belady`` scheme's replay (:mod:`repro.check.belady`) runs
+without loading numpy.
 """
-
-from repro.check.belady import (
-    BeladyCache,
-    NaiveBelady,
-    ReplayResult,
-    assert_belady_bound,
-    belady_workload_run,
-    next_use_indices,
-    replay_trace,
-)
-from repro.check.differential import (
-    CaseResult,
-    DifferentialCase,
-    Divergence,
-    SyntheticPerf,
-    compare_run,
-    fuzz,
-    make_stream,
-    random_case,
-    run_case,
-)
-from repro.check.invariants import InvariantChecker, InvariantViolation, attach_checker
-from repro.check.reference import (
-    REFERENCE_SCHEMES,
-    ReferenceCache,
-    build_reference,
-)
-
-__all__ = [
-    "BeladyCache",
-    "CaseResult",
-    "DifferentialCase",
-    "Divergence",
-    "InvariantChecker",
-    "InvariantViolation",
-    "NaiveBelady",
-    "REFERENCE_SCHEMES",
-    "ReferenceCache",
-    "ReplayResult",
-    "SyntheticPerf",
-    "assert_belady_bound",
-    "attach_checker",
-    "belady_workload_run",
-    "build_reference",
-    "compare_run",
-    "fuzz",
-    "make_stream",
-    "next_use_indices",
-    "random_case",
-    "replay_trace",
-    "run_case",
-]

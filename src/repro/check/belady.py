@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.geometry import CacheGeometry
-from repro.check.invariants import InvariantViolation
 from repro.cpu.core_model import CoreTimingModel
 from repro.cpu.memory import MemoryModel
 from repro.cpu.system import CoreResult, RecordedTrace, SystemResult
@@ -234,6 +233,8 @@ def assert_belady_bound(
             beats Belady's total hit count — which would mean the offline
             simulator is broken, since MIN is provably optimal.
     """
+    from repro.check.invariants import InvariantViolation  # imports numpy; replays do not
+
     results = {"belady": replay_trace(trace, geometry, "belady")}
     bound = results["belady"].total_hits
     for scheme in schemes:

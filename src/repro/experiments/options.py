@@ -51,9 +51,9 @@ class RunOptions:
             already holds and persist new ones (``None`` = no store
             unless ``REPRO_STORE`` is set).
         check: attach the cache-engine invariant checker
-            (:func:`repro.check.attach_checker`) to every shared cache the
+            (:func:`repro.check.invariants.attach_checker`) to every shared cache the
             run builds; an inconsistency raises
-            :class:`~repro.check.InvariantViolation` instead of silently
+            :class:`~repro.check.invariants.InvariantViolation` instead of silently
             corrupting results. Off by default (it audits the whole cache
             periodically — see ``docs/testing.md`` for the overhead).
         backend: cache engine, ``"classic"`` or ``"vector"`` (see

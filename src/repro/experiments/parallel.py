@@ -88,9 +88,9 @@ class RunSpec:
     #: parallel trace stays bit-identical to the serial one.
     telemetry: bool = False
     #: Run with the cache-engine invariant checker attached
-    #: (:func:`repro.check.attach_checker`). Observing only — a checked
+    #: (:func:`repro.check.invariants.attach_checker`). Observing only — a checked
     #: run produces the same result as an unchecked one, or raises
-    #: :class:`~repro.check.InvariantViolation`.
+    #: :class:`~repro.check.invariants.InvariantViolation`.
     check: bool = False
     #: Cache engine, ``"classic"`` or ``"vector"``. The backends are
     #: certified bit-exact (``repro-sim check fuzz --backend vector``),

@@ -59,7 +59,8 @@ class StandaloneIPCCache:
     :data:`DEFAULT_STANDALONE_CACHE` is used unless a caller (or a
     :class:`~repro.experiments.options.RunOptions`) supplies its own,
     which is how tests isolate themselves without reaching into module
-    globals.
+    globals. The trace driver also memoises its clustering core maps here,
+    so the scheme calls of one memo profile a workload once.
     """
 
     def __init__(self) -> None:
@@ -364,9 +365,9 @@ def run_workload(
             ``check``/``backend`` for any of those arguments left at
             ``None``. An argument given explicitly always wins.
         check: attach the invariant checker
-            (:func:`repro.check.attach_checker`) to the shared cache and
+            (:func:`repro.check.invariants.attach_checker`) to the shared cache and
             audit it once more after the run; raises
-            :class:`~repro.check.InvariantViolation` on any inconsistency.
+            :class:`~repro.check.invariants.InvariantViolation` on any inconsistency.
         backend: cache engine, ``"classic"`` or ``"vector"``; results are
             certified bit-exact either way (``repro-sim check fuzz
             --backend vector``). A ``"vector"`` request runs the classic

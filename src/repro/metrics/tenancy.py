@@ -19,9 +19,10 @@ tenants that could never hit it even unshared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_SLO_FRACTION",
@@ -73,6 +74,8 @@ class MissRunTracker:
 
     def update(self, cores: np.ndarray, hit: np.ndarray) -> None:
         """Fold in one chunk of per-access outcomes (in access order)."""
+        import numpy as np
+
         cores = np.asarray(cores)
         miss = ~np.asarray(hit, dtype=bool)
         for tenant in range(self.num_tenants):

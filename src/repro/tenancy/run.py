@@ -230,7 +230,14 @@ def run_trace_workload(
 
     core_map = None
     if clusters is not None:
-        core_map = derive_core_map(source, config.geometry, clusters, seed)
+        # The map depends only on the source, geometry, clusters and seed,
+        # so the scheme calls of one memo share one profile.
+        memo = standalone_cache if standalone_cache is not None else DEFAULT_STANDALONE_CACHE
+        key = (f"{source.kind}:{_identity_digest(source)}", config.geometry, clusters, seed,
+               "core_map")
+        if key not in memo:
+            memo.store(key, derive_core_map(source, config.geometry, clusters, seed))
+        core_map = memo.get(key)
         if max(core_map) + 1 == num_cores:
             core_map = None  # clustering degenerated to per-core management
     acct_cores = max(core_map) + 1 if core_map is not None else num_cores

@@ -17,13 +17,19 @@ streamers, cache-insensitive compute, and thrashing giants.
   (``run_workload``, campaigns, the CLI) resolves workloads through,
 - :mod:`repro.workloads.tenants` — multi-tenant key-value traces
   (``"tenants:web8"``), the PriSM-as-memcached family.
+
+The trace modules (``trace``, ``tenants``, ``shared``) import numpy, which
+the profile-driven paper mixes never need; their names are re-exported
+lazily (PEP 562), so ``import repro.workloads`` stays numpy-free until a
+trace name is touched or a ``"family:spec"`` reference is resolved.
 """
+
+from importlib import import_module
 
 from repro.workloads.zones import ScanZone, UniformZone, ZoneModel
 from repro.workloads.benchmark import AccessStream, BenchmarkProfile
 from repro.workloads.spec import PROFILES, get_profile, profiles_by_category
 from repro.workloads.mixes import MIXES, get_mix, mixes_for_cores
-from repro.workloads.trace import Trace, record_trace
 from repro.workloads.phased import PhasedProfile, PhasedStream
 from repro.workloads.registry import (
     BenchmarkListSource,
@@ -33,13 +39,23 @@ from repro.workloads.registry import (
     resolve_workload,
     workload_families,
 )
-from repro.workloads.tenants import (
-    TENANT_PRESETS,
-    TenantSpec,
-    TenantWorkload,
-    get_tenant_workload,
-    tenant_presets,
-)
+
+_LAZY = {
+    "Trace": "trace",
+    "record_trace": "trace",
+    "TENANT_PRESETS": "tenants",
+    "TenantSpec": "tenants",
+    "TenantWorkload": "tenants",
+    "get_tenant_workload": "tenants",
+    "tenant_presets": "tenants",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(f"repro.workloads.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "WorkloadSource",

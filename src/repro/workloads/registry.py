@@ -31,13 +31,14 @@ the resolver changes no existing fingerprint.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.workloads.benchmark import BenchmarkProfile
 from repro.workloads.mixes import get_mix
 from repro.workloads.spec import get_profile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WorkloadSource",

@@ -1,6 +1,7 @@
 """Campaign semantics: resume, fault isolation, zero-recompute caching."""
 
 import os
+import time
 
 import pytest
 
@@ -148,6 +149,35 @@ class TestFaultIsolation:
         plain = run_specs(specs, CONFIG, jobs=1)
         outcomes = sorted(iter_isolated(specs, CONFIG, jobs=2), key=lambda o: o.index)
         assert [o.result for o in outcomes] == plain
+
+
+class TestDispatchOrder:
+    """Idle workers prefer mixes whose stand-alone baselines they hold."""
+
+    @staticmethod
+    def _workers(monkeypatch, specs):
+        def run_workload(**kwargs):
+            time.sleep(0.2)  # equal spec times keep the two workers in step
+            return os.getpid(), kwargs["mix"]
+
+        # Fork carries the patch into the workers: each result names the
+        # process that ran it.
+        monkeypatch.setattr(parallel_module, "run_workload", run_workload)
+        outcomes = sorted(iter_isolated(specs, CONFIG, jobs=2), key=lambda o: o.index)
+        assert all(o.ok for o in outcomes)
+        return [o.result for o in outcomes]
+
+    def test_each_worker_keeps_to_its_mixes(self, monkeypatch):
+        specs = [RunSpec(mix, scheme) for mix in ("Q1", "Q2") for scheme in ("lru", "dip")]
+        ran = self._workers(monkeypatch, specs)
+        # Worker one starts on Q1, worker two on the first mix nobody has
+        # run (Q2), and each then takes the rest of its own mix.
+        assert ran[0][0] != ran[2][0]
+        assert ran[1][0] == ran[0][0] and ran[3][0] == ran[2][0]
+
+    def test_no_worker_idles_while_specs_are_pending(self, monkeypatch):
+        ran = self._workers(monkeypatch, [RunSpec("Q1", "lru"), RunSpec("Q1", "dip")])
+        assert ran[0][0] != ran[1][0]
 
 
 class TestSpecFieldsSurvive:

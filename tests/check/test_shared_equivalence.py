@@ -119,6 +119,26 @@ class TestRunSharedWorkload:
         )
         assert per_core != clustered
 
+    def test_core_map_profiled_once_per_memo(self, monkeypatch):
+        """Scheme calls sharing a memo share one clustering profile."""
+        from repro.tenancy import run as trace_run
+
+        real, calls = trace_run.derive_core_map, []
+        monkeypatch.setattr(
+            trace_run, "derive_core_map", lambda *args: calls.append(args) or real(*args)
+        )
+        source, memo = get_shared_workload("smoke4"), StandaloneIPCCache()
+        shared = [
+            run_shared_workload(source, CFG, scheme, seed=1, clusters=2, standalone_cache=memo)
+            for scheme in ("lru", "prism-h")
+        ]
+        assert len(calls) == 1
+        fresh = run_shared_workload(
+            source, CFG, "prism-h", seed=1, clusters=2, standalone_cache=StandaloneIPCCache()
+        )
+        assert len(calls) == 2
+        assert shared[1] == fresh
+
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("scheme", ["lru", "prism-h", "prism-f"])

@@ -13,6 +13,8 @@ examples reaches it" is checked here instead of asserted. The script
    campaign ``run``/``status``/``export``/``resume`` and every registry
    experiment, all at small budgets; then every example except
    ``reproduce_paper.py`` (whose figures the ``experiment`` runs cover);
+   then a two-spec campaign over two ``repro-sim herd worker``
+   subprocesses, for the driver side of subprocess workers;
 2. records every code object entered, under ``sys.setprofile`` and
    ``threading.setprofile``;
 3. prints every function defined under ``src/`` that was never entered,
@@ -25,7 +27,7 @@ Usage::
 
 It takes no flags and always exits 0: it is a report, not a gate. It
 cannot see code that runs only in worker processes — the forked and the
-subprocess worker entry points — and names that blind spot.
+subprocess worker entry points — and names those blind spots.
 """
 
 from __future__ import annotations
@@ -51,9 +53,7 @@ EXAMPLES = REPO / "examples"
 #: Functions the in-process drive cannot reach by construction.
 BLIND_SPOTS = (
     "repro.campaign.executor._worker_main — runs in forked workers",
-    "repro.campaign.stdio.serve — runs in `repro-sim herd worker` "
-    "subprocesses (the driver side of subprocess workers is not driven "
-    "either: it needs `campaign run --hosts`)",
+    "repro.campaign.stdio.serve — runs in `repro-sim herd worker` subprocesses",
 )
 
 #: Small per-run budget (instructions, or requests for trace workloads).
@@ -214,6 +214,23 @@ def example_invocations(tmp: Path) -> List[List[str]]:
     ]
 
 
+def subprocess_campaign() -> None:
+    """Two specs over two local ``repro-sim herd worker`` subprocesses (the
+    byte stream ``campaign run --hosts`` speaks over ssh, without the ssh)."""
+    from repro.campaign.executor import iter_isolated
+    from repro.experiments.configs import machine
+    from repro.experiments.parallel import RunSpec
+
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    argv = [sys.executable, "-m", "repro.cli", "herd", "worker"]
+    specs = [RunSpec("Q1", scheme, instructions=int(BUDGET)) for scheme in ("lru", "prism-h")]
+    failed = [o.spec.describe() for o in iter_isolated(
+        specs, machine(4), commands=[("exec", argv)] * 2, events=lambda event: None,
+    ) if not o.ok]
+    if failed:
+        raise RuntimeError(f"failed specs: {failed}")
+
+
 def _quietly(action: Callable[[], object]) -> None:
     """Run ``action`` with stdout/stderr swallowed and the environment restored."""
     env = dict(os.environ)
@@ -256,6 +273,7 @@ def drive(tmp: Path) -> Tuple[Set, List[str]]:
     jobs = [("repro-sim " + " ".join(a), lambda a=a: run_cli(a)) for a in cli_invocations(tmp)]
     jobs += [(" ".join(["python", Path(a[0]).name] + a[1:]), lambda a=a: run_example(a))
              for a in example_invocations(tmp)]
+    jobs.append(("campaign over 2 `repro-sim herd worker` subprocesses", subprocess_campaign))
 
     failures: List[str] = []
     threading.setprofile(profile)
