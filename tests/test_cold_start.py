@@ -52,13 +52,18 @@ NUMPY_FREE = {
         "config = machine(4, l1='inclusive', dram_banks=4, dram_row_blocks=8)\n"
         "run_workload('Q1', config, 'belady', instructions=2000)"
     ),
+    # The forked workers' imports are invisible here, so the probe blocks
+    # numpy first: a worker importing it would fail its spec.
     "campaign": (
-        "import tempfile\n"
+        "import sys, tempfile\n"
+        "sys.modules['numpy'] = None\n"
         "from repro import machine\n"
         "from repro.campaign import Campaign\n"
-        "store = tempfile.mkdtemp()\n"
-        "Campaign.grid(store, machine(4), ['Q1'], ['lru', 'prism-h'],\n"
-        "              instructions=2000).run(jobs=2)"
+        "with tempfile.TemporaryDirectory() as store:\n"
+        "    run = Campaign.grid(store, machine(4), ['Q1'], ['lru', 'prism-h'],\n"
+        "                        instructions=2000).run(jobs=2)\n"
+        "assert run.executed == 2 and not run.failed, run.describe()\n"
+        "del sys.modules['numpy']"
     ),
     "cli-help": _cli("--help"),
     "cli-run": _cli("run", "--mix", "Q1", "--instructions", "2000"),
