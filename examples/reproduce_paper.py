@@ -21,7 +21,6 @@ simulates what is missing.
 """
 
 import argparse
-import os
 import time
 
 from repro.experiments.options import RunOptions
@@ -56,28 +55,21 @@ def main() -> None:
     parser.add_argument("--verbose", action="store_true", help="print per-run progress")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for independent runs "
-                        "(0 = all CPUs; default: serial or REPRO_JOBS)")
+                        "(0 = all CPUs; default: serial)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="result-store directory: completed runs are "
                         "cached there, so re-running the suite only "
                         "simulates what changed (see docs/campaigns.md)")
     args = parser.parse_args()
 
-    if args.jobs is not None:
-        # The figure modules fan out via compare_schemes, which consults
-        # REPRO_JOBS whenever no explicit jobs= is passed.
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.store is not None:
-        # Same trick for the result store: run_specs resolves REPRO_STORE
-        # at fan-out time and skips fingerprints it already holds.
-        os.environ["REPRO_STORE"] = args.store
     ids = args.only or list(EXPERIMENTS)
     progress = (lambda msg: print(f"    {msg}", flush=True)) if args.verbose else None
     for experiment_id in ids:
         experiment = EXPERIMENTS[experiment_id]
         kwargs = dict(_QUICK.get(experiment_id, {})) if args.budget == "quick" else {}
         options = RunOptions(
-            instructions=kwargs.pop("instructions", None), progress=progress
+            instructions=kwargs.pop("instructions", None), progress=progress,
+            jobs=args.jobs, store=args.store,
         )
         print("=" * 78)
         print(f"[{experiment.id}] {experiment.title}")

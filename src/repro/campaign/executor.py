@@ -258,7 +258,8 @@ def iter_isolated(
         stop: a ``threading.Event``; once set, no further spec starts
             and the specs never started are not yielded.
         kill_after: test hook ``(worker, n)``: SIGKILL that worker right
-            after its ``n``-th result — mid-spec, if a spec was pending.
+            after its ``n``-th result — mid-spec if a spec was pending,
+            else idle (even when that result was the grid's last).
 
     Yields:
         One :class:`SpecOutcome` per spec, in completion order.
@@ -354,7 +355,9 @@ def iter_isolated(
         return SpecOutcome(index, spec, None, error, attempt, elapsed)
 
     try:
-        while any(s.task for s in slots) or (pending and not (stop and stop.is_set())):
+        while any(s.task or s.doomed for s in slots) or (
+            pending and not (stop and stop.is_set())
+        ):
             if not (stop and stop.is_set()):
                 for slot in slots:
                     if not pending:
@@ -376,6 +379,8 @@ def iter_isolated(
                     slot.worker.kill()
                     if slot.task is None:
                         retire(slot, "crash")
+            if not any(s.task for s in slots):
+                continue  # only an idle doomed worker was left to kill
 
             live = [s for s in slots if s.worker is not None]
             deadlines = [s.worker.deadline() for s in live]

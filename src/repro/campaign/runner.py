@@ -12,9 +12,9 @@ for each run that executes something; ``repro-sim campaign status`` folds
 them into a per-worker table (:func:`worker_table`).
 
 The same skip-by-fingerprint cache is available *without* the fault
-tolerance through ``run_specs(..., store=...)`` (or the ``REPRO_STORE``
-environment variable) — that path keeps ``run_specs``'s raise-on-error
-contract and is what the figure experiments ride on.
+tolerance through ``run_specs(..., store=...)`` — that path keeps
+``run_specs``'s raise-on-error contract and is what the figure
+experiments ride on.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class CampaignRunner:
     Args:
         store: a :class:`ResultStore` or a path to create/open one.
         config: machine shared by every spec.
-        jobs: concurrent worker processes (``None`` consults
-            ``REPRO_JOBS``, like every other ``jobs=`` in the repo).
+        jobs: concurrent worker processes (``None`` = serial, ``0`` =
+            all CPUs, like every other ``jobs=`` in the repo).
         retries: extra attempts per failing spec, never in the worker
             process that failed.
         timeout: per-attempt wall-clock limit in seconds (``None`` = no

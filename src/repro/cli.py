@@ -17,7 +17,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.experiments.common import format_table
+from repro.experiments.common import compare_schemes, format_table, run_grid
 from repro.experiments.configs import DEFAULT_INSTRUCTIONS, machine
 from repro.experiments.export import export_csv
 from repro.experiments.options import RunOptions
@@ -36,16 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-sim",
         description="PriSM (ISCA 2012) reproduction: shared-cache simulation CLI",
     )
-    # Shared by every fan-out subcommand; exported as REPRO_JOBS /
-    # REPRO_STORE so the parallel executor is picked up however deep the
-    # experiment code sits.
+    # Shared by every fan-out subcommand; passed down to the run grid.
     jobs_parent = argparse.ArgumentParser(add_help=False)
     jobs_parent.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="worker processes for independent runs (0 = all CPUs; "
-        "default: serial, or the REPRO_JOBS environment variable)",
+        "default: serial)",
     )
     jobs_parent.add_argument(
         "--store",
@@ -53,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="result-store directory (see docs/campaigns.md): runs already "
         "in the store are not recomputed, new runs persist into it "
-        "(default: the REPRO_STORE environment variable)",
+        "(default: no store)",
     )
     # Hierarchy knobs, shared by run/compare: private L1s + banked DRAM.
     hier_parent = argparse.ArgumentParser(add_help=False)
@@ -373,7 +371,7 @@ def _resolve(mix: str):
     """Mix argument: a registry name, a ``family:spec`` workload reference
     (``tenants:web8``), or comma-separated benchmark names."""
     if "," in mix:
-        names = [n.strip() for n in mix.split(",")]
+        names = tuple(n.strip() for n in mix.split(","))
         return names, len(names)
     return mix, resolve_workload(mix).num_cores
 
@@ -463,17 +461,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from repro.experiments.common import compare_schemes
-
     mix, cores = _resolve(args.mix)
     config = machine(cores, **_machine_kwargs(args))
     results = compare_schemes(
-        [mix] if isinstance(mix, str) else [tuple(mix)],
+        [mix],
         config,
         args.schemes,
         seed=args.seed,
         instructions=args.instructions,
         jobs=args.jobs,
+        store=args.store,
     )
     per_scheme = next(iter(results.values()))
     belady = per_scheme.get("belady")
@@ -560,7 +557,8 @@ def cmd_report(args) -> int:
 
     progress = None if args.quiet else (lambda msg: print(f"  {msg}", flush=True))
     path = generate_report(
-        Path(args.output), budget=args.budget, only=args.only, progress=progress
+        Path(args.output), budget=args.budget, only=args.only, progress=progress,
+        jobs=args.jobs, store=args.store,
     )
     print(f"wrote {path}")
     return 0
@@ -569,20 +567,16 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     mix, cores = _resolve(args.mix)
     config = machine(cores)
-    baseline = run_workload(
-        mix, config, "lru", seed=args.seed, instructions=args.instructions
-    )
-    rows = []
-    for value in args.values:
-        result = run_workload(
-            mix,
-            config,
-            args.scheme,
-            seed=args.seed,
-            instructions=args.instructions,
-            scheme_kwargs={args.parameter: value},
-        )
-        rows.append([value, result.antt, result.antt / baseline.antt, result.fairness])
+    variants = [("lru", None)]
+    variants += [(args.scheme, {args.parameter: value}) for value in args.values]
+    baseline, *results = run_grid(
+        [mix], config, variants, instructions=args.instructions, seed=args.seed,
+        jobs=args.jobs, store=args.store,
+    )[mix]
+    rows = [
+        [value, result.antt, result.antt / baseline.antt, result.fairness]
+        for value, result in zip(args.values, results)
+    ]
     print(f"machine {config} | mix {args.mix} | scheme {args.scheme} | "
           f"sweeping {args.parameter}")
     print(format_table([args.parameter, "ANTT", "vs LRU", "fairness"], rows, width=14))
@@ -638,16 +632,6 @@ def cmd_check(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command not in ("campaign", "herd"):
-        # Exported rather than threaded through every experiment signature:
-        # repro.experiments.parallel resolves REPRO_JOBS/REPRO_STORE at
-        # fan-out time. (Campaign commands manage their own store/jobs.)
-        import os
-
-        if getattr(args, "jobs", None) is not None:
-            os.environ["REPRO_JOBS"] = str(args.jobs)
-        if getattr(args, "store", None):
-            os.environ["REPRO_STORE"] = args.store
     handlers = {
         "list": cmd_list,
         "run": cmd_run,

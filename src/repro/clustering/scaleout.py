@@ -82,6 +82,8 @@ def run(
     backend: str = "classic",
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     """The many-core scale-out panels: throughput and Jain fairness.
 
@@ -122,7 +124,7 @@ def run(
                 f"{ref}: {len(specs)} runs ({source.num_cores} cores, "
                 f"schemes {', '.join(schemes)}, per-core vs {clusters} clusters)"
             )
-        results = run_specs(specs, config, progress=progress)
+        results = run_specs(specs, config, jobs=jobs, progress=progress, store=store)
         rows = [
             _result_row(result, spec.clusters)
             for spec, result in zip(specs, results)

@@ -10,7 +10,6 @@ from repro.experiments.options import RunOptions, experiment_run
 from repro.experiments.parallel import (
     RunSpec,
     SpecRunError,
-    parallel_compare_schemes,
     resolve_jobs,
     run_specs,
 )
@@ -37,5 +36,4 @@ __all__ = [
     "SpecRunError",
     "resolve_jobs",
     "run_specs",
-    "parallel_compare_schemes",
 ]

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import Progress, format_table, run_grid
 from repro.experiments.configs import machine
-from repro.experiments.runner import run_workload
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
@@ -43,26 +42,28 @@ def run(
     cores: int = 16,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     config = machine(cores)
     mix_names = mixes or mixes_for_cores(cores)[:6]
+    variants = [("lru", None)]
+    variants += [("prism-h", dict(kwargs)) for kwargs in VARIANTS.values()]
+    results = run_grid(
+        mix_names,
+        config,
+        variants,
+        instructions=instructions,
+        seed=seed,
+        progress=progress,
+        jobs=jobs,
+        store=store,
+    )
     rows = []
     for mix in mix_names:
-        if progress:
-            progress(f"{mix} / lru")
-        lru = run_workload(mix, config, "lru", seed=seed, instructions=instructions)
+        lru, *variant_results = results[mix]
         row = {"mix": mix}
-        for variant, kwargs in VARIANTS.items():
-            if progress:
-                progress(f"{mix} / prism-h[{variant}]")
-            result = run_workload(
-                mix,
-                config,
-                "prism-h",
-                seed=seed,
-                instructions=instructions,
-                scheme_kwargs=dict(kwargs),
-            )
+        for variant, result in zip(VARIANTS, variant_results):
             row[variant] = result.antt / lru.antt
         rows.append(row)
     summary = {

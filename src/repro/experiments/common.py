@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.configs import MachineConfig
-from repro.experiments.runner import WorkloadResult, run_workload
+from repro.experiments.parallel import RunSpec, run_specs
+from repro.experiments.runner import WorkloadResult
 from repro.metrics import geomean
 
-__all__ = ["compare_schemes", "format_table", "Progress", "resolve_instructions"]
+__all__ = ["compare_schemes", "format_table", "Progress", "resolve_instructions",
+           "run_grid"]
 
 Progress = Optional[Callable[[str], None]]
 
@@ -24,8 +26,46 @@ def resolve_instructions(instructions, cores: int) -> Optional[int]:
     return instructions
 
 
+def run_grid(
+    mixes: Sequence,
+    config: MachineConfig,
+    variants: Sequence[Tuple[str, Optional[dict]]],
+    instructions: Optional[int] = None,
+    seed: int = 0,
+    progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
+    telemetry: bool = False,
+) -> Dict[object, List[WorkloadResult]]:
+    """Run every mix under every ``(scheme, scheme_kwargs)`` variant.
+
+    The whole grid is one :func:`~repro.experiments.parallel.run_specs`
+    call, so ``jobs`` fans it out over warm workers and ``store`` skips and
+    persists runs (see :mod:`repro.experiments.parallel`); results are
+    identical at any ``jobs``.
+
+    Returns:
+        ``results[mix][i] -> WorkloadResult`` of ``variants[i]``.
+    """
+    specs = [
+        RunSpec(
+            mix=mix,
+            scheme=scheme,
+            seed=seed,
+            instructions=instructions,
+            scheme_kwargs=kwargs,
+            telemetry=telemetry,
+        )
+        for mix in mixes
+        for scheme, kwargs in variants
+    ]
+    flat = run_specs(specs, config, jobs=jobs, progress=progress, store=store)
+    width = len(variants)
+    return {mix: flat[i * width:(i + 1) * width] for i, mix in enumerate(mixes)}
+
+
 def compare_schemes(
-    mixes: Sequence[str],
+    mixes: Sequence,
     config: MachineConfig,
     schemes: Sequence[str],
     instructions: Optional[int] = None,
@@ -34,59 +74,26 @@ def compare_schemes(
     progress: Progress = None,
     jobs: Optional[int] = None,
     telemetry: bool = False,
-) -> Dict[str, Dict[str, WorkloadResult]]:
-    """Run every mix under every scheme.
-
-    Args:
-        jobs: worker processes; ``None`` consults ``REPRO_JOBS`` (see
-            :mod:`repro.experiments.parallel`). Above 1, the grid runs on
-            warm worker processes with results bit-identical to the serial
-            loop.
-        telemetry: record per-interval telemetry into every result
-            (parallel runs return identical traces to serial ones).
+    store=None,
+) -> Dict[object, Dict[str, WorkloadResult]]:
+    """Run every mix under every scheme (a :func:`run_grid` keyed by scheme).
 
     Returns:
         ``results[mix][scheme] -> WorkloadResult``.
     """
-    import os
-
-    from repro.experiments.parallel import (
-        STORE_ENV,
-        parallel_compare_schemes,
-        resolve_jobs,
-    )
-
-    # A configured result store routes even serial grids through
-    # run_specs, which owns the skip-completed/persist cache layer.
-    if resolve_jobs(jobs) > 1 or os.environ.get(STORE_ENV):
-        return parallel_compare_schemes(
-            mixes,
-            config,
-            schemes,
-            instructions=instructions,
-            seed=seed,
-            scheme_kwargs=scheme_kwargs,
-            progress=progress,
-            jobs=jobs,
-            telemetry=telemetry,
-        )
     scheme_kwargs = scheme_kwargs or {}
-    results: Dict[str, Dict[str, WorkloadResult]] = {}
-    for mix in mixes:
-        results[mix] = {}
-        for scheme in schemes:
-            if progress:
-                progress(f"{mix} / {scheme}")
-            results[mix][scheme] = run_workload(
-                mix,
-                config,
-                scheme,
-                seed=seed,
-                instructions=instructions,
-                scheme_kwargs=scheme_kwargs.get(scheme),
-                telemetry=telemetry,
-            )
-    return results
+    grid = run_grid(
+        mixes,
+        config,
+        [(scheme, scheme_kwargs.get(scheme)) for scheme in schemes],
+        instructions=instructions,
+        seed=seed,
+        progress=progress,
+        jobs=jobs,
+        store=store,
+        telemetry=telemetry,
+    )
+    return {mix: dict(zip(schemes, row)) for mix, row in grid.items()}
 
 
 def geomean_ratio(

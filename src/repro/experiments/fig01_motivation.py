@@ -34,6 +34,8 @@ def run_scalability(
     mixes_per_count: Optional[int] = None,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     """Fig. 1(a): normalised ANTT of UCP/PIPP and fairness vs core count."""
     rows = []
@@ -52,6 +54,8 @@ def run_scalability(
             instructions=resolve_instructions(instructions, cores),
             seed=seed,
             progress=progress,
+            jobs=jobs,
+            store=store,
         )
         row = {
             "cores": cores,
@@ -72,6 +76,8 @@ def run_fine_grain(
     mixes_per_count: Optional[int] = 6,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     """Fig. 1(b): LRU and UCP throughput at 16/64/256-way associativity."""
     rows = []
@@ -89,6 +95,8 @@ def run_fine_grain(
                 instructions=resolve_instructions(instructions, cores),
                 seed=seed,
                 progress=progress,
+                jobs=jobs,
+                store=store,
             )
             per_assoc[f"lru_throughput_{cores}c"] = geomean(
                 [results[m]["lru"].throughput for m in mixes]
@@ -106,22 +114,16 @@ def run(
     mixes_per_count: Optional[int] = None,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     """Both panels of Figure 1."""
+    grid = dict(instructions=instructions, seed=seed, progress=progress, jobs=jobs,
+                store=store)
     return {
         "id": "fig1",
-        "scalability": run_scalability(
-            instructions=instructions,
-            mixes_per_count=mixes_per_count,
-            seed=seed,
-            progress=progress,
-        ),
-        "fine_grain": run_fine_grain(
-            instructions=instructions,
-            mixes_per_count=mixes_per_count or 6,
-            seed=seed,
-            progress=progress,
-        ),
+        "scalability": run_scalability(mixes_per_count=mixes_per_count, **grid),
+        "fine_grain": run_fine_grain(mixes_per_count=mixes_per_count or 6, **grid),
     }
 
 

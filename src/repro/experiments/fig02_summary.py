@@ -33,6 +33,8 @@ def run(
     core_counts=(4, 8, 16, 32),
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     rows = []
     for cores in core_counts:
@@ -50,6 +52,8 @@ def run(
             instructions=resolve_instructions(instructions, cores),
             seed=seed,
             progress=progress,
+            jobs=jobs,
+            store=store,
         )
         row = {
             "cores": cores,

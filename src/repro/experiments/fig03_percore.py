@@ -22,18 +22,10 @@ __all__ = ["run", "format_result"]
 _SCHEMES = ["lru", "prism-h", "ucp", "pipp"]
 
 
-def _panel(
-    cores: int,
-    instructions: Optional[int],
-    mixes: Optional[List[str]],
-    seed: int,
-    progress: Progress,
-) -> Dict:
+def _panel(cores: int, mixes: Optional[List[str]], **grid) -> Dict:
     config = machine(cores)
     mix_names = mixes or mixes_for_cores(cores)
-    results = compare_schemes(
-        mix_names, config, _SCHEMES, instructions=instructions, seed=seed, progress=progress
-    )
+    results = compare_schemes(mix_names, config, _SCHEMES, **grid)
     rows = []
     for mix in mix_names:
         lru_antt = results[mix]["lru"].antt
@@ -58,11 +50,15 @@ def run(
     big_mixes: Optional[List[str]] = None,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
+    grid = dict(instructions=instructions, seed=seed, progress=progress, jobs=jobs,
+                store=store)
     return {
         "id": "fig3",
-        "quad": _panel(4, instructions, quad_mixes, seed, progress),
-        "thirtytwo": _panel(32, instructions, big_mixes, seed, progress),
+        "quad": _panel(4, quad_mixes, **grid),
+        "thirtytwo": _panel(32, big_mixes, **grid),
     }
 
 

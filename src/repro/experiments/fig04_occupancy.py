@@ -29,6 +29,8 @@ def run(
     mixes: Optional[List[str]] = None,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     config = machine(4)
     mix_names = mixes or mixes_for_cores(4)
@@ -39,6 +41,8 @@ def run(
         instructions=instructions,
         seed=seed,
         progress=progress,
+        jobs=jobs,
+        store=store,
         telemetry=True,
     )
     rows = []

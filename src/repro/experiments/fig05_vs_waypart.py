@@ -25,6 +25,8 @@ def run(
     cores: int = 16,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     config = machine(cores)
     mix_names = mixes or mixes_for_cores(cores)
@@ -35,6 +37,8 @@ def run(
         instructions=instructions,
         seed=seed,
         progress=progress,
+        jobs=jobs,
+        store=store,
     )
     rows = []
     for mix in mix_names:

@@ -24,6 +24,8 @@ def run(
     mixes: Optional[List[str]] = None,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     # The paper's 8MB 16-way LLC, scaled like every other machine.
     config = machine(16, assoc=16, llc_bytes=8 << 20)
@@ -35,6 +37,8 @@ def run(
         instructions=instructions,
         seed=seed,
         progress=progress,
+        jobs=jobs,
+        store=store,
     )
     rows = [
         {"mix": mix, "prism_vs_lru": results[mix]["prism-h"].antt / results[mix]["lru"].antt}

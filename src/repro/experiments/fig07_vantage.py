@@ -20,23 +20,10 @@ from repro.workloads.mixes import mixes_for_cores
 __all__ = ["run", "format_result"]
 
 
-def _panel(
-    cores: int,
-    instructions: Optional[int],
-    mixes: Optional[List[str]],
-    seed: int,
-    progress: Progress,
-) -> Dict:
+def _panel(cores: int, mixes: Optional[List[str]], **grid) -> Dict:
     config = machine(cores)
     mix_names = mixes or mixes_for_cores(cores)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["tslru", "vantage", "prism-ucpx"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
-    )
+    results = compare_schemes(mix_names, config, ["tslru", "vantage", "prism-ucpx"], **grid)
     rows = []
     for mix in mix_names:
         base = results[mix]["tslru"].antt
@@ -66,11 +53,15 @@ def run(
     sixteen_mixes: Optional[List[str]] = None,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
+    grid = dict(instructions=instructions, seed=seed, progress=progress, jobs=jobs,
+                store=store)
     return {
         "id": "fig7",
-        "quad": _panel(4, instructions, quad_mixes, seed, progress),
-        "sixteen": _panel(16, instructions, sixteen_mixes, seed, progress),
+        "quad": _panel(4, quad_mixes, **grid),
+        "sixteen": _panel(16, sixteen_mixes, **grid),
     }
 
 

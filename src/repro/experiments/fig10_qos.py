@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import Progress, compare_schemes, format_table
 from repro.experiments.configs import machine
 from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
 from repro.workloads.mixes import mixes_for_cores
 
 __all__ = ["run", "format_result"]
@@ -29,23 +28,26 @@ def run(
     tolerance: float = 0.05,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     config = machine(cores)
     mix_names = mixes or mixes_for_cores(cores)
+    results = compare_schemes(
+        mix_names,
+        config,
+        ["lru", "prism-q"],
+        instructions=instructions,
+        seed=seed,
+        scheme_kwargs={"prism-q": {"target_ipc_fraction": target_fraction}},
+        progress=progress,
+        jobs=jobs,
+        store=store,
+    )
     rows = []
     achieved = 0
     for mix in mix_names:
-        if progress:
-            progress(f"{mix} / prism-q")
-        lru = run_workload(mix, config, "lru", seed=seed, instructions=instructions)
-        result = run_workload(
-            mix,
-            config,
-            "prism-q",
-            seed=seed,
-            instructions=instructions,
-            scheme_kwargs={"target_ipc_fraction": target_fraction},
-        )
+        lru, result = results[mix]["lru"], results[mix]["prism-q"]
         slowdown = result.slowdown(0)
         # "Achieved" = at or above target (a tolerance band below counts as
         # close-enough, mirroring the paper's 38-of-41 reading).

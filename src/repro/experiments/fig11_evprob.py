@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import Progress, compare_schemes, format_table
 from repro.experiments.configs import machine
 from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
 from repro.workloads.mixes import mixes_for_cores
 
 __all__ = ["run", "format_result"]
@@ -29,18 +28,26 @@ def run(
     mixes: Optional[List[str]] = None,
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     config = machine(4)
     mix_names = mixes or mixes_for_cores(4)
+    results = compare_schemes(
+        mix_names,
+        config,
+        ["prism-h"],
+        instructions=instructions,
+        seed=seed,
+        progress=progress,
+        jobs=jobs,
+        store=store,
+        telemetry=True,
+    )
     rows = []
     recompute_counts = []
     for mix in mix_names:
-        if progress:
-            progress(f"{mix} / prism-h")
-        result = run_workload(
-            mix, config, "prism-h", seed=seed, instructions=instructions,
-            telemetry=True,
-        )
+        result = results[mix]["prism-h"]
         trace = result.telemetry
         stats = trace.probability_stats()
         recompute_counts.append(trace.num_intervals)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import Progress, format_table, run_grid
 from repro.experiments.configs import machine
 from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
@@ -26,27 +25,29 @@ def run(
     bit_widths: Sequence[int] = (6, 8, 10, 12),
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     config = machine(4)
     mix_names = mixes or mixes_for_cores(4)
+    variants = [("prism-h", None)]
+    variants += [("prism-h", {"probability_bits": bits}) for bits in bit_widths]
+    results = run_grid(
+        mix_names,
+        config,
+        variants,
+        instructions=instructions,
+        seed=seed,
+        progress=progress,
+        jobs=jobs,
+        store=store,
+    )
     rows = []
     for mix in mix_names:
-        if progress:
-            progress(f"{mix} / prism-h float")
-        reference = run_workload(mix, config, "prism-h", seed=seed, instructions=instructions)
+        reference, *quantised = results[mix]
         row = {"mix": mix}
-        for bits in bit_widths:
-            if progress:
-                progress(f"{mix} / prism-h {bits}-bit")
-            quantised = run_workload(
-                mix,
-                config,
-                "prism-h",
-                seed=seed,
-                instructions=instructions,
-                scheme_kwargs={"probability_bits": bits},
-            )
-            row[f"bits{bits}"] = quantised.antt / reference.antt
+        for bits, result in zip(bit_widths, quantised):
+            row[f"bits{bits}"] = result.antt / reference.antt
         rows.append(row)
     summary = {
         f"bits{bits}": geomean([r[f"bits{bits}"] for r in rows]) for bits in bit_widths

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import Progress, format_table, run_grid
 from repro.experiments.configs import machine
 from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
 from repro.workloads.mixes import mixes_for_cores
 
 __all__ = ["run", "format_result"]
@@ -33,29 +32,34 @@ def run(
     interval_multipliers: Sequence[float] = (0.5, 1.0, 2.0),
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     config = machine(4)
     num_blocks = config.geometry.num_blocks
     mix_names = mixes or mixes_for_cores(4)
+    variants = [
+        ("prism-h", {
+            "interval_len": max(1, int(num_blocks * mult)),
+            "fallback": "paper",
+            "bias_correction": False,
+        })
+        for mult in interval_multipliers
+    ]
+    results = run_grid(
+        mix_names,
+        config,
+        variants,
+        instructions=instructions,
+        seed=seed,
+        progress=progress,
+        jobs=jobs,
+        store=store,
+    )
     rows = []
     for mix in mix_names:
         row = {"mix": mix}
-        for mult in interval_multipliers:
-            interval = max(1, int(num_blocks * mult))
-            if progress:
-                progress(f"{mix} / prism-h W={interval}")
-            result = run_workload(
-                mix,
-                config,
-                "prism-h",
-                seed=seed,
-                instructions=instructions,
-                scheme_kwargs={
-                    "interval_len": interval,
-                    "fallback": "paper",
-                    "bias_correction": False,
-                },
-            )
+        for mult, result in zip(interval_multipliers, results[mix]):
             row[f"w{mult}"] = result.victim_not_found_rate
         rows.append(row)
     averages = {

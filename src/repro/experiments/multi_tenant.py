@@ -39,6 +39,8 @@ def run(
     backend: str = "classic",
     seed: int = 0,
     progress: Progress = None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Dict:
     """Run the tenant scenario; returns a dict of per-tenant SLO rows.
 
@@ -69,7 +71,7 @@ def run(
     ]
     if progress:
         progress(f"{ref}: {len(specs)} runs under {', '.join(schemes)}")
-    results = run_specs(specs, config, progress=progress)
+    results = run_specs(specs, config, jobs=jobs, progress=progress, store=store)
 
     rows = []
     summary = []

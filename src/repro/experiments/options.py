@@ -1,11 +1,11 @@
 """The one run-options object every experiment entry point accepts.
 
 Before this module each figure's ``run()`` grew its own ad-hoc
-``instructions=/seed=/progress=`` kwargs and the jobs knob travelled by
-environment variable only. :class:`RunOptions` bundles the cross-cutting
-run controls; the :func:`experiment_run` decorator gives every registry
-``run()`` the uniform signature ``run(options=None, **figure_kwargs)``
-and rejects run controls passed any other way.
+``instructions=/seed=/progress=`` kwargs. :class:`RunOptions` bundles the
+cross-cutting run controls; the :func:`experiment_run` decorator gives
+every registry ``run()`` the uniform signature
+``run(options=None, **figure_kwargs)`` and rejects run controls passed any
+other way.
 
 Figure-specific knobs (``core_counts``, ``bit_widths``, ...) stay plain
 kwargs — they are not run controls.
@@ -15,19 +15,13 @@ from __future__ import annotations
 
 import functools
 import inspect
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = ["RunOptions", "experiment_run"]
 
-#: Same env vars the parallel executor reads (kept in sync by a test).
-JOBS_ENV = "REPRO_JOBS"
-STORE_ENV = "REPRO_STORE"
-
 #: Run controls a wrapped ``run()`` takes from ``options`` only.
-_RUN_CONTROLS = ("instructions", "seed", "progress", "jobs", "telemetry")
+_RUN_CONTROLS = ("instructions", "seed", "progress", "jobs", "telemetry", "store")
 
 
 @dataclass(frozen=True)
@@ -38,8 +32,8 @@ class RunOptions:
         instructions: per-core instruction target (``None`` = the
             figure's/machine's default budget).
         progress: per-run progress callback (``print``-compatible).
-        jobs: worker processes for the parallel executor (``None`` =
-            serial unless ``REPRO_JOBS`` is set; ``0`` = all CPUs).
+        jobs: worker processes for the parallel executor (``None`` or
+            ``1`` = serial; ``0`` = all CPUs).
         seed: top-level seed for streams and scheme PRNGs.
         telemetry: record per-interval telemetry into each
             ``WorkloadResult.telemetry`` (or pass a pre-built
@@ -48,8 +42,7 @@ class RunOptions:
             process-wide default).
         store: path to a :class:`repro.campaign.ResultStore` directory;
             grids executed under these options skip runs the store
-            already holds and persist new ones (``None`` = no store
-            unless ``REPRO_STORE`` is set).
+            already holds and persist new ones (``None`` = no store).
         check: attach the cache-engine invariant checker
             (:func:`repro.check.invariants.attach_checker`) to every shared cache the
             run builds; an inconsistency raises
@@ -74,46 +67,16 @@ class RunOptions:
     backend: str = "classic"
 
 
-@contextmanager
-def _run_env(jobs: Optional[int], store: Optional[str] = None):
-    """Temporarily pin ``REPRO_JOBS``/``REPRO_STORE`` for nested calls.
-
-    The figure implementations fan out through ``compare_schemes`` many
-    layers down; rather than threading ``jobs``/``store`` through every
-    signature, the wrapper pins the env vars the parallel executor
-    resolves at fan-out time.
-    """
-    overrides = {}
-    if jobs is not None:
-        overrides[JOBS_ENV] = str(jobs)
-    if store is not None:
-        overrides[STORE_ENV] = os.fspath(store)
-    if not overrides:
-        yield
-        return
-    previous = {name: os.environ.get(name) for name in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def experiment_run(func):
     """Give a figure ``run()`` implementation the uniform options API.
 
     The wrapped function keeps its internal signature
     (``instructions=None, ..., seed=0, progress=None``); the wrapper
-    exposes ``run(options=None, **figure_kwargs)``, forwards whichever
-    run controls the implementation declares, and pins ``REPRO_JOBS`` /
-    ``REPRO_STORE`` while it executes when ``options.jobs`` /
-    ``options.store`` are set. A run control passed as a keyword
-    (``run(instructions=...)``) or a non-``RunOptions`` ``options`` raises
-    ``TypeError``: the wrapper would otherwise overwrite it silently.
+    exposes ``run(options=None, **figure_kwargs)`` and forwards whichever
+    run controls the implementation declares (``jobs`` and ``store``
+    included: a figure hands them to its grid). A run control passed as a
+    keyword (``run(instructions=...)``) or a non-``RunOptions`` ``options``
+    raises ``TypeError``: the wrapper would otherwise overwrite it silently.
     """
     accepted = set(inspect.signature(func).parameters)
 
@@ -132,11 +95,10 @@ def experiment_run(func):
                 f"{func.__name__}() options must be a RunOptions, "
                 f"got {type(options).__name__}"
             )
-        for name in ("instructions", "seed", "progress", "telemetry"):
+        for name in _RUN_CONTROLS:
             if name in accepted:
                 kwargs[name] = getattr(options, name)
-        with _run_env(options.jobs, options.store):
-            return func(**kwargs)
+        return func(**kwargs)
 
     wrapper.__wrapped_run__ = func
     return wrapper

@@ -28,13 +28,12 @@ policy) per worker.
 
 ``jobs`` semantics (shared by every entry point that accepts ``jobs=``):
 
-- ``None`` — consult the ``REPRO_JOBS`` environment variable (the CLI's
-  ``--jobs`` flag and ``examples/reproduce_paper.py --jobs`` set it, which
-  is how the figure experiments deep inside the registry pick the value
-  up without threading a parameter through every signature); unset or
-  invalid means serial.
+- ``None`` or ``1`` — run serially in-process (no workers, no pickling).
 - ``<= 0`` — use ``os.cpu_count()``.
-- ``1`` — run serially in-process (no workers, no pickling).
+- ``n`` — ``n`` warm workers.
+
+``jobs`` and ``store`` are always arguments: the CLI's ``--jobs``/``--store``
+and ``RunOptions(jobs=, store=)`` pass them down to the grid explicitly.
 """
 
 from __future__ import annotations
@@ -53,19 +52,7 @@ __all__ = [
     "resolve_jobs",
     "run_spec",
     "run_specs",
-    "parallel_compare_schemes",
 ]
-
-#: Environment variable consulted when ``jobs`` is ``None``.
-JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable consulted when ``store`` is ``None``: a path to a
-#: :class:`repro.campaign.ResultStore` directory. When set, every
-#: ``run_specs`` grid (and therefore every figure experiment) skips specs
-#: whose fingerprint the store already holds and persists new results as
-#: they complete. Set by ``repro-sim --store`` and
-#: ``examples/reproduce_paper.py --store``.
-STORE_ENV = "REPRO_STORE"
 
 
 @dataclass(frozen=True)
@@ -152,27 +139,18 @@ class SpecRunError(RuntimeError):
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a ``jobs`` argument to a concrete worker count (>= 1)."""
     if jobs is None:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV, "1"))
-        except ValueError:
-            jobs = 1
+        return 1
     if jobs <= 0:
-        jobs = os.cpu_count() or 1
+        return os.cpu_count() or 1
     return jobs
 
 
 def _resolve_store(store):
     """``store`` argument -> a ResultStore, or None (no caching layer).
 
-    ``None`` consults the ``REPRO_STORE`` environment variable (mirroring
-    the ``jobs``/``REPRO_JOBS`` convention); a string/path opens a store
-    at that directory; a ready-made store object passes through.
+    A string/path opens a store at that directory; ``None`` and a
+    ready-made store object pass through.
     """
-    if store is None:
-        path = os.environ.get(STORE_ENV)
-        if not path:
-            return None
-        store = path
     if isinstance(store, (str, os.PathLike)):
         from repro.campaign.store import ResultStore
 
@@ -280,7 +258,7 @@ def run_specs(
         store: a :class:`repro.campaign.ResultStore` (or a path to one);
             specs whose fingerprint the store holds return the stored
             result without simulating, and fresh results persist into the
-            store as they complete. ``None`` consults ``REPRO_STORE``.
+            store as they complete. ``None`` = no store.
 
     Returns:
         ``results[i]`` is the outcome of ``specs[i]`` — identical, field
@@ -297,41 +275,3 @@ def run_specs(
         return _run_specs_stored(specs, config, store, jobs=jobs, progress=progress)
     return _execute_specs(specs, config, jobs=jobs, progress=progress)
 
-
-def parallel_compare_schemes(
-    mixes: Sequence[str],
-    config: MachineConfig,
-    schemes: Sequence[str],
-    instructions: Optional[int] = None,
-    seed: int = 0,
-    scheme_kwargs: Optional[Dict[str, dict]] = None,
-    progress=None,
-    jobs: Optional[int] = None,
-    telemetry: bool = False,
-    backend: str = "classic",
-) -> Dict[str, Dict[str, WorkloadResult]]:
-    """The (mixes × schemes) grid behind every figure, run by :func:`run_specs`.
-
-    Same signature and return shape as
-    :func:`repro.experiments.common.compare_schemes` (which delegates here
-    when ``jobs`` resolves above 1): ``results[mix][scheme]``.
-    """
-    scheme_kwargs = scheme_kwargs or {}
-    specs = [
-        RunSpec(
-            mix=mix,
-            scheme=scheme,
-            seed=seed,
-            instructions=instructions,
-            scheme_kwargs=scheme_kwargs.get(scheme),
-            telemetry=telemetry,
-            backend=backend,
-        )
-        for mix in mixes
-        for scheme in schemes
-    ]
-    flat = run_specs(specs, config, jobs=jobs, progress=progress)
-    results: Dict[str, Dict[str, WorkloadResult]] = {mix: {} for mix in mixes}
-    for spec, result in zip(specs, flat):
-        results[spec.mix][spec.scheme] = result
-    return results

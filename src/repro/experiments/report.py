@@ -82,6 +82,8 @@ def generate_report(
     budget: str = "quick",
     only: Optional[List[str]] = None,
     progress=None,
+    jobs: Optional[int] = None,
+    store=None,
 ) -> Path:
     """Run experiments and write the markdown report.
 
@@ -90,6 +92,8 @@ def generate_report(
         budget: ``micro`` (seconds), ``quick`` (minutes) or ``full`` (hours).
         only: subset of experiment ids (default: the whole registry).
         progress: optional ``callable(str)`` for live status lines.
+        jobs/store: passed to every experiment's run grid (see
+            :class:`~repro.experiments.options.RunOptions`).
 
     Returns:
         The written path.
@@ -113,7 +117,8 @@ def generate_report(
         experiment = EXPERIMENTS[experiment_id]
         kwargs = dict(BUDGETS[budget].get(experiment_id, {}))
         options = RunOptions(
-            instructions=kwargs.pop("instructions", None), progress=progress
+            instructions=kwargs.pop("instructions", None), progress=progress,
+            jobs=jobs, store=store,
         )
         if progress:
             progress(f"running {experiment_id} ({experiment.title})")

@@ -1,23 +1,13 @@
 """Shared isolation for the campaign tests."""
 
-import os
-
 import pytest
 
-from repro.experiments.parallel import JOBS_ENV, STORE_ENV
 from repro.experiments.runner import DEFAULT_STANDALONE_CACHE
 
 
 @pytest.fixture(autouse=True)
-def _isolate_env(monkeypatch):
-    """No ambient jobs/store settings, and a cold stand-alone memo."""
-    monkeypatch.delenv(JOBS_ENV, raising=False)
-    monkeypatch.delenv(STORE_ENV, raising=False)
+def _isolate_env():
+    """A cold stand-alone memo."""
     DEFAULT_STANDALONE_CACHE.clear()
     yield
-    # monkeypatch records no undo for delenv on an absent variable, so a
-    # test that *exports* these (``main()`` does) would leak them into
-    # later test files without an explicit scrub here.
-    os.environ.pop(JOBS_ENV, None)
-    os.environ.pop(STORE_ENV, None)
     DEFAULT_STANDALONE_CACHE.clear()

@@ -230,12 +230,11 @@ class TestStoreBackedRunSpecs:
         assert len(calls) == 0
         assert second == first
 
-    def test_env_variable_opt_in(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(parallel_module.STORE_ENV, str(tmp_path / "s"))
-        first = run_specs(self.SPECS, CONFIG)
-        calls = _counting(monkeypatch, parallel_module)
-        assert run_specs(self.SPECS, CONFIG) == first
-        assert len(calls) == 0
+    def test_store_is_an_argument_only(self, tmp_path, monkeypatch):
+        """No environment variable opens a store behind the caller's back."""
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s"))
+        run_specs(self.SPECS, CONFIG)
+        assert not (tmp_path / "s").exists()
 
     def test_store_results_equal_plain_results(self, tmp_path):
         stored = run_specs(self.SPECS, CONFIG, store=tmp_path / "s")

@@ -5,7 +5,6 @@ import csv
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.parallel import JOBS_ENV, STORE_ENV
 
 
 class TestParser:
@@ -85,21 +84,21 @@ class TestCampaignCommands:
             main(["campaign", "status", "--store", str(tmp_path / "nope")])
 
 
-class TestStoreEnvExport:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.delenv(STORE_ENV, raising=False)
+class TestStoreFlag:
+    """``--store`` reaches the run grid of every fan-out command."""
 
-    def test_compare_store_flag_caches_runs(self, capsys, tmp_path, monkeypatch):
-        import os
-
+    @pytest.mark.parametrize("argv", [
+        ["compare", "lru", "dip", "--mix", "Q1"],
+        ["experiment", "fig12", "--instructions", "3000"],
+        ["sweep", "probability_bits", "6", "8", "--scheme", "prism-h", "--mix", "Q1"],
+    ], ids=["compare", "fig12", "sweep"])
+    def test_store_flag_caches_runs(self, argv, capsys, tmp_path, monkeypatch):
         store = tmp_path / "s"
-        argv = ["compare", "lru", "dip", "--mix", "Q1",
-                "--instructions", "3000", "--store", str(store)]
+        if "--instructions" not in argv:
+            argv = argv + ["--instructions", "3000"]
+        argv = argv + ["--store", str(store)]
         assert main(argv) == 0
-        capsys.readouterr()
-        assert os.environ.get(STORE_ENV) == str(store)
+        first = capsys.readouterr().out
         assert (store / "results.jsonl").exists()
 
         # Second invocation answers from the store without simulating.
@@ -110,15 +109,4 @@ class TestStoreEnvExport:
 
         monkeypatch.setattr(parallel_module, "run_workload", boom)
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "ANTT" in out
-
-    def test_campaign_commands_do_not_export_store_env(self, capsys, tmp_path):
-        import os
-
-        argv = (["campaign", "run", "--mixes", "Q1", "--schemes", "lru",
-                 "--instructions", "3000", "--quiet",
-                 "--store", str(tmp_path / "s")])
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert STORE_ENV not in os.environ
+        assert capsys.readouterr().out == first

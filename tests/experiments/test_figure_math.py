@@ -20,6 +20,7 @@ from repro.experiments import (
     fig11_evprob,
     fig12_kbit,
     fig13_victim_notfound,
+    parallel,
 )
 from repro.experiments.runner import WorkloadResult
 from repro.metrics import geomean
@@ -85,7 +86,7 @@ class TestFig3Math(object):
         monkeypatch.setattr(
             fig03_percore, "compare_schemes", lambda mixes, *a, **k: canned
         )
-        panel = fig03_percore._panel(4, None, ["Q1", "Q2"], 0, None)
+        panel = fig03_percore._panel(4, ["Q1", "Q2"])
         assert panel["rows"][0]["prism_h"] == pytest.approx(0.5)
         assert panel["rows"][0]["ucp"] == pytest.approx(0.75)
         assert panel["geomean"]["prism_h"] == pytest.approx(0.5)
@@ -116,7 +117,7 @@ class TestFig10Math:
                 return fake_result(mix, "lru", 2.0, slowdown0=0.3)
             return fake_result(mix, scheme, 1.5, slowdown0=slowdowns[mix])
 
-        monkeypatch.setattr(fig10_qos, "run_workload", fake_run)
+        monkeypatch.setattr(parallel, "run_workload", fake_run)
         result = fig10_qos.run(mixes=["S1", "S2", "S3"], target_fraction=0.8,
                                tolerance=0.15)
         # 0.82 >= 0.8; 0.70 >= 0.8*0.85=0.68; 0.40 < 0.68.
@@ -128,7 +129,7 @@ class TestFig10Math:
         def fake_run(mix, config, scheme, **kwargs):
             return fake_result(mix, scheme, 1.5, slowdown0=0.4)
 
-        monkeypatch.setattr(fig10_qos, "run_workload", fake_run)
+        monkeypatch.setattr(parallel, "run_workload", fake_run)
         result = fig10_qos.run(mixes=["S1"], target_fraction=0.8)
         text = fig10_qos.format_result(result)
         assert "NO" in text
@@ -172,7 +173,7 @@ class TestFig7Math:
                    "prism-ucpx": fake_result("Q1", "prism-ucpx", 1.6)},
         }
         monkeypatch.setattr(fig07_vantage, "compare_schemes", lambda *a, **k: canned)
-        panel = fig07_vantage._panel(4, None, ["Q1"], 0, None)
+        panel = fig07_vantage._panel(4, ["Q1"])
         assert panel["rows"][0]["vantage"] == pytest.approx(0.9)
         assert panel["rows"][0]["prism"] == pytest.approx(0.8)
         assert panel["geomean"]["prism"] == pytest.approx(0.8)
@@ -200,7 +201,7 @@ class TestFig11Math:
                 **{**r.__dict__, "intervals": 40, "telemetry": trace}
             )
 
-        monkeypatch.setattr(fig11_evprob, "run_workload", fake_run)
+        monkeypatch.setattr(parallel, "run_workload", fake_run)
         result = fig11_evprob.run(mixes=["Q1", "Q2"])
         assert len(result["rows"]) == 8
         assert result["rows"][1]["mean"] == pytest.approx(0.2)
@@ -265,7 +266,7 @@ class TestFig13Math:
             r.victim_not_found_rate = 100.0 / interval
             return r
 
-        monkeypatch.setattr(fig13_victim_notfound, "run_workload", fake_run)
+        monkeypatch.setattr(parallel, "run_workload", fake_run)
         result = fig13_victim_notfound.run(
             mixes=["Q1", "Q2"], interval_multipliers=(0.5, 1.0)
         )
@@ -282,7 +283,7 @@ class TestFig12Math:
             antt = {None: 2.0, 6: 2.2, 8: 2.0}[bits]
             return fake_result(mix, scheme, antt)
 
-        monkeypatch.setattr(fig12_kbit, "run_workload", fake_run)
+        monkeypatch.setattr(parallel, "run_workload", fake_run)
         result = fig12_kbit.run(mixes=["Q1"], bit_widths=(6, 8))
         assert result["rows"][0]["bits6"] == pytest.approx(1.1)
         assert result["rows"][0]["bits8"] == pytest.approx(1.0)

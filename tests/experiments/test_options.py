@@ -1,28 +1,22 @@
 """Tests for RunOptions and the experiment_run decorator."""
 
-import os
-
 import pytest
 
-from repro.experiments import options as options_module
-from repro.experiments import parallel
 from repro.experiments.options import RunOptions, experiment_run
-
-
-def test_jobs_env_name_in_sync_with_parallel_executor():
-    assert options_module.JOBS_ENV == parallel.JOBS_ENV
 
 
 class TestExperimentRunDecorator:
     @staticmethod
     def make_run():
         @experiment_run
-        def run(instructions=None, mixes=None, seed=0, progress=None):
+        def run(instructions=None, mixes=None, seed=0, progress=None, jobs=None,
+                store=None):
             return {
                 "instructions": instructions,
                 "mixes": mixes,
                 "seed": seed,
-                "jobs_env": os.environ.get(options_module.JOBS_ENV),
+                "jobs": jobs,
+                "store": store,
             }
 
         return run
@@ -52,17 +46,12 @@ class TestExperimentRunDecorator:
         with pytest.raises(TypeError, match="RunOptions"):
             run(1000)
 
-    def test_jobs_pinned_to_environment_during_run(self, monkeypatch):
-        monkeypatch.delenv(options_module.JOBS_ENV, raising=False)
-        run = self.make_run()
-        result = run(options=RunOptions(jobs=3))
-        assert result["jobs_env"] == "3"
-        assert options_module.JOBS_ENV not in os.environ  # restored after
-
-    def test_jobs_env_restored_on_previous_value(self, monkeypatch):
-        monkeypatch.setenv(options_module.JOBS_ENV, "7")
-        self.make_run()(options=RunOptions(jobs=2))
-        assert os.environ[options_module.JOBS_ENV] == "7"
+    def test_jobs_and_store_forwarded(self):
+        result = self.make_run()(options=RunOptions(jobs=3, store="somewhere"))
+        assert result["jobs"] == 3
+        assert result["store"] == "somewhere"
+        with pytest.raises(TypeError, match="store"):
+            self.make_run()(store="somewhere")
 
     def test_figure_kwargs_unrelated_to_controls_pass_through(self):
         @experiment_run

@@ -14,15 +14,15 @@ import pytest
 
 from repro.experiments.common import compare_schemes
 from repro.experiments.configs import machine
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
-    JOBS_ENV,
     RunSpec,
     SpecRunError,
-    parallel_compare_schemes,
     resolve_jobs,
     run_spec,
     run_specs,
 )
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import DEFAULT_STANDALONE_CACHE, run_workload
 
 CONFIG = machine(4, instructions=3_000)
@@ -30,15 +30,16 @@ INSTR = 3_000
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches(monkeypatch):
-    """Isolate the memoised stand-alone IPCs and the jobs environment."""
-    monkeypatch.delenv(JOBS_ENV, raising=False)
+def _fresh_caches():
+    """Isolate the memoised stand-alone IPCs."""
     DEFAULT_STANDALONE_CACHE.clear()
     yield
     DEFAULT_STANDALONE_CACHE.clear()
 
 
 class TestResolveJobs:
+    """``jobs`` is an argument only: no environment variable is read."""
+
     def test_default_is_serial(self):
         assert resolve_jobs(None) == 1
 
@@ -46,51 +47,30 @@ class TestResolveJobs:
         assert resolve_jobs(3) == 3
 
     def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "5")
-        assert resolve_jobs(None) == 5
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        assert resolve_jobs(None) == 1
 
     def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "5")
+        monkeypatch.setenv("REPRO_JOBS", "5")
         assert resolve_jobs(2) == 2
 
     def test_invalid_env_is_serial(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "many")
+        monkeypatch.setenv("REPRO_JOBS", "many")
         assert resolve_jobs(None) == 1
 
     def test_zero_means_all_cpus(self):
         assert resolve_jobs(0) == (os.cpu_count() or 1)
         assert resolve_jobs(-1) >= 1
 
-    def test_resolution_matrix(self, monkeypatch):
-        """The full None/garbage/0/negative matrix, explicit and via env.
-
-        Documented semantics: ``None`` consults ``REPRO_JOBS`` (unset or
-        invalid means serial); any value ``<= 0`` — explicit or from the
-        environment — means all cores.
-        """
+    def test_resolution_matrix(self):
+        """``None`` -> 1, any value ``<= 0`` -> all cores, ``n`` -> ``n``."""
         all_cpus = os.cpu_count() or 1
-        # explicit argument
         assert resolve_jobs(None) == 1
         assert resolve_jobs(0) == all_cpus
         assert resolve_jobs(-1) == all_cpus
         assert resolve_jobs(-128) == all_cpus
+        assert resolve_jobs(1) == 1
         assert resolve_jobs(3) == 3
-        # environment variable (jobs=None)
-        for env_value, expected in [
-            ("garbage", 1),
-            ("", 1),
-            ("1.5", 1),
-            ("0", all_cpus),
-            ("-1", all_cpus),
-            ("-128", all_cpus),
-            ("4", 4),
-        ]:
-            monkeypatch.setenv(JOBS_ENV, env_value)
-            assert resolve_jobs(None) == expected, f"REPRO_JOBS={env_value!r}"
-        # an explicit value always beats the environment
-        monkeypatch.setenv(JOBS_ENV, "7")
-        assert resolve_jobs(2) == 2
-        assert resolve_jobs(0) == all_cpus
 
 
 class TestSpecRunError:
@@ -230,17 +210,25 @@ class TestParallelIdenticalToSerial:
                 # extra diagnostic must match exactly.
                 assert serial[mix][scheme] == parallel[mix][scheme]
 
-    def test_compare_schemes_env_opt_in(self, monkeypatch):
-        serial = compare_schemes(["Q1"], CONFIG, ["lru"], instructions=INSTR)
+    @pytest.mark.parametrize("figure, instructions, kwargs", [
+        ("fig11", 50_000, {"mixes": ["Q1", "Q2"]}),
+        ("fig12", 25_000, {"mixes": ["Q1", "Q2"], "bit_widths": (6, 8)}),
+    ])
+    def test_figure_results_bit_identical(self, figure, instructions, kwargs):
+        """A figure's whole result dict is the same at ``jobs=1`` and 2."""
+        run = EXPERIMENTS[figure].run
+        serial = run(options=RunOptions(instructions=instructions, jobs=1), **kwargs)
         DEFAULT_STANDALONE_CACHE.clear()
-        monkeypatch.setenv(JOBS_ENV, "2")
-        parallel = compare_schemes(["Q1"], CONFIG, ["lru"], instructions=INSTR)
-        assert serial["Q1"]["lru"] == parallel["Q1"]["lru"]
+        parallel = run(options=RunOptions(instructions=instructions, jobs=2), **kwargs)
+        assert serial == parallel
+        if figure == "fig11":
+            # The probability stats come from telemetry that crossed the
+            # worker pipes: the path is only covered if intervals ran.
+            assert serial["recomputations_min"] > 0
+            assert any(row["mean"] > 0 for row in serial["rows"])
 
-    def test_parallel_compare_schemes_shape(self):
-        results = parallel_compare_schemes(
-            ["Q1"], CONFIG, ["lru", "dip"], instructions=INSTR, jobs=2
-        )
+    def test_compare_schemes_shape(self):
+        results = compare_schemes(["Q1"], CONFIG, ["lru", "dip"], instructions=INSTR, jobs=2)
         assert list(results) == ["Q1"]
         assert list(results["Q1"]) == ["lru", "dip"]
 

@@ -10,7 +10,6 @@ import sys
 
 import pytest
 
-from repro.experiments.parallel import JOBS_ENV, STORE_ENV
 from repro.experiments.runner import DEFAULT_STANDALONE_CACHE
 
 #: The two kinds of worker every end-to-end property must hold for.
@@ -41,13 +40,9 @@ def patched_workers(count, patch):
 
 @pytest.fixture(autouse=True)
 def _isolate_env(monkeypatch):
-    """No ambient jobs/store settings, a cold stand-alone memo, and
-    subprocess workers that import repro the way this process does."""
-    monkeypatch.delenv(JOBS_ENV, raising=False)
-    monkeypatch.delenv(STORE_ENV, raising=False)
+    """A cold stand-alone memo, and subprocess workers that import repro
+    the way this process does."""
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in sys.path if p))
     DEFAULT_STANDALONE_CACHE.clear()
     yield
-    os.environ.pop(JOBS_ENV, None)
-    os.environ.pop(STORE_ENV, None)
     DEFAULT_STANDALONE_CACHE.clear()

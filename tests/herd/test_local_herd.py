@@ -153,6 +153,16 @@ class TestDeadWorker:
             assert set(counts) == fps
             assert set(counts.values()) == {1}  # no fingerprint computed twice
 
+    def test_chaos_kill_after_the_grids_last_result(self, tmp_path):
+        """The victim's n-th result may end the grid: the kill still lands,
+        on the idle worker, so the hook never depends on start order."""
+        for kind in KINDS:
+            campaign = Campaign.grid(tmp_path / kind, CONFIG, mixes=["Q1"], schemes=["lru"])
+            run = campaign.run(kill_after=(f"{kind}-0", 1), **workers(kind, 2))
+            assert run.crashed_workers == [f"{kind}-0"]
+            assert run.executed == 1 and run.failed == 0 and run.remaining == 0
+            assert set(records_per_fingerprint(tmp_path / kind).values()) == {1}
+
     def test_kill_then_resume_is_still_complete(self, tmp_path):
         for kind in KINDS:
             # One worker, so the kill lands mid-spec (the timeout keeps a

@@ -85,3 +85,11 @@ def test_trace_families_load_numpy_at_resolution(ref):
         f"from repro.workloads.registry import resolve_workload\nresolve_workload({ref!r})"
     )
     assert "numpy" in loaded
+
+
+def test_grid_modules_load_neither_numpy_nor_campaign():
+    """Every figure imports the grid helpers; the executor and the store
+    load only when a grid runs."""
+    loaded = _loaded("import repro.experiments.common, repro.experiments.parallel")
+    assert "numpy" not in loaded
+    assert not [m for m in loaded if m.startswith("repro.campaign")]

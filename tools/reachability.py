@@ -5,7 +5,8 @@ The ROADMAP's rule "no module survives if nothing in the registry, CLI or
 examples reaches it" is checked here instead of asserted. The script
 
 1. drives the offline CLI in one process: ``list``, ``cost``,
-   ``characterize``, ``report --budget micro``, ``sweep``, ``tenants`` on
+   ``characterize``, ``report --budget micro``, ``sweep`` (twice into one
+   ``--store``: the second answers from it), ``tenants`` on
    both engines, ``run`` of every scheme plus the hierarchy, DRAM,
    ``--check``, vector (at 1,024 sets), telemetry, clustered and tenant
    variants,
@@ -152,7 +153,11 @@ def cli_invocations(tmp: Path) -> List[List[str]]:
         ["characterize", "179.art", "--accesses", BUDGET],
         ["report", "--budget", "micro", "--only", "fig1", "-o", str(tmp / "report.md"),
          "--quiet"],
-        ["sweep", "interval_len", "64", "128", "--mix", "Q1", "--instructions", BUDGET],
+    ]
+    sweep = ["sweep", "interval_len", "64", "128", "--mix", "Q1", "--instructions", BUDGET,
+             "--store", str(tmp / "sweep")]
+    out += [sweep, sweep]
+    out += [
         ["tenants", "--workload", "smoke4", "--requests", BUDGET],
         ["tenants", "--workload", "smoke4", "--requests", BUDGET, "--backend", "vector",
          *WIDE, "--json", str(tmp / "tenants.json"), "--csv", str(tmp / "tenants")],
