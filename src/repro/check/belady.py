@@ -29,6 +29,7 @@ PAPERS.md). The module provides:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -48,11 +49,15 @@ __all__ = [
 ]
 
 
-def next_use_indices(addrs: Sequence[int]) -> List[int]:
+def next_use_indices(addrs: Sequence[int]) -> array:
     """``next_use[i]`` = index of the next access to ``addrs[i]`` after
-    ``i``, or ``len(addrs)`` when it is never accessed again."""
+    ``i``, or ``len(addrs)`` when it is never accessed again.
+
+    Returned as an ``array('q')``: 8 bytes per access, not a list of
+    boxed ints.
+    """
     n = len(addrs)
-    next_use = [n] * n
+    next_use = array("q", [n]) * n
     last_seen: Dict[int, int] = {}
     for i in range(n - 1, -1, -1):
         addr = addrs[i]
@@ -77,6 +82,9 @@ class BeladyCache:
         self.geometry = geometry
         self.num_cores = num_cores
         self._next_use = next_use_indices(addrs)
+        # Read once: geometry's set_index/num_sets are properties.
+        self._set_mask = geometry.num_sets - 1
+        self._assoc = geometry.assoc
         # Per set: block address -> [stored next use, owner core].
         # Insertion order is fill order; never-used-again blocks tie at
         # n and the earliest-filled one wins (strict-> comparison below).
@@ -89,7 +97,7 @@ class BeladyCache:
 
     def access(self, index: int, core: int, addr: int) -> bool:
         """Access ``addr`` as trace position ``index``; True on a hit."""
-        resident = self._sets[self.geometry.set_index(addr)]
+        resident = self._sets[addr & self._set_mask]
         entry = resident.get(addr)
         if entry is not None:
             entry[0] = self._next_use[index]
@@ -97,7 +105,7 @@ class BeladyCache:
             self.hits[core] += 1
             return True
         self.misses[core] += 1
-        if len(resident) >= self.geometry.assoc:
+        if len(resident) >= self._assoc:
             victim_addr, victim_entry = None, None
             for block_addr, candidate in resident.items():
                 if victim_entry is None or candidate[0] > victim_entry[0]:
@@ -283,19 +291,17 @@ def belady_workload_run(
             core.mark_finished()
             occupancy_at_finish[cid] = belady.occupancy[cid] / num_blocks
 
-    for i in range(len(trace)):
-        cid = trace.cores[i]
+    columns = zip(trace.cores, trace.addrs, trace.gaps, trace.l1_gaps, trace.l1_lats)
+    for i, (cid, addr, gap, l1_gap, l1_lat) in enumerate(columns):
         core = cores[cid]
-        l1_gap, l1_lat = trace.l1_gaps[i], trace.l1_lats[i]
         if l1_gap or l1_lat:
             core.advance_local(l1_gap, l1_lat)
             check_finish(cid, core)
-        gap = trace.gaps[i]
-        if belady.access(i, cid, trace.addrs[i]):
+        if belady.access(i, cid, addr):
             core.advance(gap, True)
         else:
             issue_time = core.cycles + gap * core.profile.cpi_base
-            core.advance(gap, False, memory.miss_latency(trace.addrs[i], issue_time))
+            core.advance(gap, False, memory.miss_latency(addr, issue_time))
         check_finish(cid, core)
 
     results = []

@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for independent runs (0 = all CPUs; "
-        "default: serial)",
+        "default: serial); 'experiment headroom' runs no grid and refuses "
+        "any value but 1",
     )
     jobs_parent.add_argument(
         "--store",
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="result-store directory (see docs/campaigns.md): runs already "
         "in the store are not recomputed, new runs persist into it "
-        "(default: no store)",
+        "(default: no store); 'experiment headroom' refuses it",
     )
     # Hierarchy knobs, shared by run/compare: private L1s + banked DRAM.
     hier_parent = argparse.ArgumentParser(add_help=False)
@@ -495,6 +496,20 @@ def cmd_compare(args) -> int:
 
 def cmd_experiment(args) -> int:
     experiment = EXPERIMENTS[args.id]
+    requested = {
+        "--jobs": args.jobs not in (None, 1),
+        "--store": args.store is not None,
+    }
+    dropped = [
+        flag
+        for flag, given in requested.items()
+        if given and flag[2:] not in experiment.run.run_controls
+    ]
+    if dropped:
+        raise SystemExit(
+            f"repro-sim experiment {args.id} would ignore "
+            f"{' and '.join(dropped)}: it runs no grid to parallelise or store"
+        )
     progress = (lambda msg: print(f"  {msg}", flush=True)) if args.verbose else None
     result = experiment.run(options=_run_options(args, progress=progress))
     print(experiment.format(result))

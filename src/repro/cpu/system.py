@@ -22,7 +22,9 @@ frozen at the finish line — "statistics are reported only for the first
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
@@ -78,14 +80,20 @@ class RecordedTrace:
     the core's cycle accounting exactly
     (:meth:`~repro.cpu.core_model.CoreTimingModel.advance_local` is linear
     in both). This is the input format of :mod:`repro.check.belady`.
+
+    The columns are typed :class:`array.array`\\ s — ``H`` cores, ``q``
+    addresses, ``I`` gaps, ``d`` latencies: 26 bytes per access instead
+    of boxed list items — and appending a value its typecode cannot hold
+    raises ``OverflowError``. Readers only index, iterate and take
+    ``len``, so a trace built from plain lists replays identically.
     """
 
     num_cores: int
-    cores: List[int] = field(default_factory=list)
-    addrs: List[int] = field(default_factory=list)
-    gaps: List[int] = field(default_factory=list)
-    l1_gaps: List[int] = field(default_factory=list)
-    l1_lats: List[float] = field(default_factory=list)
+    cores: Sequence[int] = field(default_factory=partial(array, "H"))
+    addrs: Sequence[int] = field(default_factory=partial(array, "q"))
+    gaps: Sequence[int] = field(default_factory=partial(array, "I"))
+    l1_gaps: Sequence[int] = field(default_factory=partial(array, "I"))
+    l1_lats: Sequence[float] = field(default_factory=partial(array, "d"))
 
     def __len__(self) -> int:
         return len(self.addrs)

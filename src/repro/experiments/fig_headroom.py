@@ -17,14 +17,14 @@ broken, not that the policy is clever).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import SharedCache
 from repro.cache.replacement.lru import LRUPolicy
 from repro.check.belady import assert_belady_bound
 from repro.cpu.system import MultiCoreSystem
 from repro.experiments.common import Progress, format_table
-from repro.experiments.configs import machine
+from repro.experiments.configs import MachineConfig, machine
 from repro.experiments.options import experiment_run
 from repro.experiments.runner import _machine_memory
 from repro.util.rng import derive_seed
@@ -54,48 +54,11 @@ def run(
     rows = []
     traces = {}
     for mix in mix_names:
-        source = resolve_workload(mix)
-        profiles = source.profiles()
-        cache = SharedCache(config.geometry, config.num_cores, policy=LRUPolicy())
-        system = MultiCoreSystem(
-            cache,
-            profiles,
-            seed=derive_seed(seed, "headroom", mix),
-            scale=config.workload_scale,
-            memory=_machine_memory(config),
-            l1_geometry=config.l1_geometry,
-            inclusive=config.l1_inclusive,
-            record_trace=True,
+        # One mix at a time: its trace is freed before the next is recorded.
+        mix_rows, traces[mix] = _mix_rows(
+            mix, config, scheme_names, budget, seed, progress
         )
-        system.run(budget)
-        trace = system.recorded_trace
-        traces[mix] = len(trace)
-        if progress:
-            progress(f"{mix}: recorded {len(trace)} LLC accesses, replaying")
-        results = assert_belady_bound(
-            trace,
-            config.geometry,
-            scheme_names,
-            seed=derive_seed(seed, "headroom-replay", mix),
-        )
-        optimal = results["belady"]
-        for scheme in ["belady"] + [s for s in scheme_names if s != "belady"]:
-            replay = results[scheme]
-            gap = replay.total_misses - optimal.total_misses
-            rows.append(
-                {
-                    "mix": mix,
-                    "scheme": scheme,
-                    "hits": replay.total_hits,
-                    "misses": replay.total_misses,
-                    "miss_gap": gap,
-                    "gap_pct": (
-                        100.0 * gap / optimal.total_misses
-                        if optimal.total_misses
-                        else 0.0
-                    ),
-                }
-            )
+        rows.extend(mix_rows)
     return {
         "id": "headroom",
         "rows": rows,
@@ -103,6 +66,64 @@ def run(
         "machine": str(config),
         "schemes": scheme_names,
     }
+
+
+def _mix_rows(
+    mix: str,
+    config: MachineConfig,
+    scheme_names: List[str],
+    budget: int,
+    seed: int,
+    progress: Progress,
+) -> Tuple[List[Dict], int]:
+    """Record ``mix``'s trace, certify the bound on it and return its
+    headroom rows with the trace length."""
+    source = resolve_workload(mix)
+    profiles = source.profiles()
+    cache = SharedCache(config.geometry, config.num_cores, policy=LRUPolicy())
+    system = MultiCoreSystem(
+        cache,
+        profiles,
+        seed=derive_seed(seed, "headroom", mix),
+        scale=config.workload_scale,
+        memory=_machine_memory(config),
+        l1_geometry=config.l1_geometry,
+        inclusive=config.l1_inclusive,
+        record_trace=True,
+    )
+    system.run(budget)
+    # The machine is a reference cycle (its cache's interval listener
+    # points back at it) that only the cycle collector reclaims; detached,
+    # the trace dies with this call.
+    trace, system.recorded_trace = system.recorded_trace, None
+    if progress:
+        progress(f"{mix}: recorded {len(trace)} LLC accesses, replaying")
+    results = assert_belady_bound(
+        trace,
+        config.geometry,
+        scheme_names,
+        seed=derive_seed(seed, "headroom-replay", mix),
+    )
+    optimal = results["belady"]
+    rows = []
+    for scheme in ["belady"] + [s for s in scheme_names if s != "belady"]:
+        replay = results[scheme]
+        gap = replay.total_misses - optimal.total_misses
+        rows.append(
+            {
+                "mix": mix,
+                "scheme": scheme,
+                "hits": replay.total_hits,
+                "misses": replay.total_misses,
+                "miss_gap": gap,
+                "gap_pct": (
+                    100.0 * gap / optimal.total_misses
+                    if optimal.total_misses
+                    else 0.0
+                ),
+            }
+        )
+    return rows, len(trace)
 
 
 def format_result(result: Dict) -> str:

@@ -77,6 +77,9 @@ def experiment_run(func):
     included: a figure hands them to its grid). A run control passed as a
     keyword (``run(instructions=...)``) or a non-``RunOptions`` ``options``
     raises ``TypeError``: the wrapper would otherwise overwrite it silently.
+    The declared controls are listed in ``run.run_controls``, so a caller
+    can refuse a control the implementation would drop (``headroom``
+    replays one trace per mix and declares neither ``jobs`` nor ``store``).
     """
     accepted = set(inspect.signature(func).parameters)
 
@@ -101,4 +104,5 @@ def experiment_run(func):
         return func(**kwargs)
 
     wrapper.__wrapped_run__ = func
+    wrapper.run_controls = frozenset(accepted.intersection(_RUN_CONTROLS))
     return wrapper

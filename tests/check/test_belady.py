@@ -1,5 +1,9 @@
 """Tests for the offline Belady/MIN baseline (repro.check.belady)."""
 
+import gc
+import tracemalloc
+from array import array
+
 import pytest
 
 from repro.cache.geometry import CacheGeometry
@@ -51,10 +55,10 @@ class TestNextUse:
     def test_indices(self):
         addrs = [5, 7, 5, 9, 7, 5]
         n = len(addrs)
-        assert next_use_indices(addrs) == [2, 4, 5, n, n, n]
+        assert list(next_use_indices(addrs)) == [2, 4, 5, n, n, n]
 
     def test_empty(self):
-        assert next_use_indices([]) == []
+        assert list(next_use_indices([])) == []
 
 
 class TestBeladyUnit:
@@ -192,3 +196,69 @@ class TestBeladyWorkloadRun:
         lru_hits = sum(c.hits for c in lru_result.cores)
         belady_hits = sum(c.hits for c in belady_result.cores)
         assert belady_hits >= lru_hits
+
+
+def as_lists(trace):
+    """``trace`` with every column copied into a plain list."""
+    copy = RecordedTrace(num_cores=trace.num_cores)
+    for column in ("cores", "addrs", "gaps", "l1_gaps", "l1_lats"):
+        setattr(copy, column, list(getattr(trace, column)))
+    return copy
+
+
+class TestColumnarTrace:
+    def test_recorded_columns_are_typed_arrays(self):
+        trace, _ = record_shared_trace(instructions=1500)
+        typecodes = {
+            "cores": "H", "addrs": "q", "gaps": "I", "l1_gaps": "I", "l1_lats": "d",
+        }
+        for column, typecode in typecodes.items():
+            values = getattr(trace, column)
+            assert isinstance(values, array), column
+            assert values.typecode == typecode, column
+            assert len(values) == len(trace)
+        assert sum(array(t).itemsize for t in typecodes.values()) == 26
+
+    def test_array_and_list_traces_replay_identically(self):
+        mix = ("179.art", "181.mcf")
+        trace, geometry = record_shared_trace(mix=mix, instructions=2500)
+        listed = as_lists(trace)
+        assert any(listed.l1_gaps) and any(listed.l1_lats)
+        profiles = [get_profile(name) for name in mix]
+        runs = [
+            belady_workload_run(
+                t, profiles, geometry, MemoryModel(), instructions_per_core=2500
+            )
+            for t in (trace, listed)
+        ]
+        assert runs[0] == runs[1]
+        for scheme in ("belady", "lru", "prism-h"):
+            a = replay_trace(trace, geometry, scheme, seed=3)
+            b = replay_trace(listed, geometry, scheme, seed=3)
+            assert (a.hits, a.misses) == (b.hits, b.misses), scheme
+
+    @pytest.mark.parametrize("gap", [-1, 1 << 32])
+    def test_out_of_range_gap_raises(self, gap):
+        trace = RecordedTrace(num_cores=1)
+        with pytest.raises(OverflowError):
+            trace.gaps.append(gap)
+        with pytest.raises(OverflowError):
+            trace.l1_gaps.append(gap)
+        assert len(trace.gaps) == len(trace.l1_gaps) == 0
+
+    def test_recording_and_next_use_bytes_per_access(self):
+        # Guards the columnar layout: 26 B of columns plus the 8 B
+        # next-use array, against about 100 B with boxed list items.
+        record_shared_trace(instructions=2000)  # warm caches and imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace, _ = record_shared_trace(instructions=200_000)
+            next_use = next_use_indices(trace.addrs)
+            gc.collect()  # the machine is a reference cycle; free it
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(next_use) == len(trace) > 20_000
+        per_access = held / len(trace)
+        assert per_access <= 48, f"{per_access:.1f} B per recorded access"

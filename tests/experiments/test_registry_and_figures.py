@@ -45,6 +45,16 @@ class TestRegistry:
     def test_micro_budgets_cover_registry(self):
         assert set(MICRO) == set(EXPERIMENTS)
 
+    def test_grid_experiments_declare_jobs_and_store(self):
+        # An implementation that forgets either parameter silently drops
+        # --jobs/--store; only headroom (one trace per mix, no grid) may.
+        for experiment_id, experiment in EXPERIMENTS.items():
+            controls = experiment.run.run_controls
+            if experiment_id == "headroom":
+                assert not controls & {"jobs", "store"}
+            else:
+                assert {"jobs", "store"} <= controls, experiment_id
+
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
 def test_experiment_smoke(experiment_id):

@@ -32,6 +32,14 @@ class TestGenerate:
         assert "**Paper:**" in text
         assert "Figure 12" in text
 
+    def test_headroom_runs_under_report_jobs(self, tmp_path):
+        # The report hands jobs to every experiment; headroom declares
+        # none and runs as it does serially.
+        path = generate_report(
+            tmp_path / "r.md", budget="micro", only=["headroom"], jobs=2
+        )
+        assert "## headroom" in path.read_text()
+
     def test_progress_callback(self, tmp_path):
         seen = []
         generate_report(

@@ -164,6 +164,22 @@ class TestCommands:
         with pytest.raises(SystemExit, match="no reference simulator"):
             main(["check", "fuzz", "--cases", "1", "--schemes", "ucp"])
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--jobs", "2"], "--jobs"),
+            (["--jobs", "0"], "--jobs"),
+            (["--store", "STORE"], "--store"),
+            (["--jobs", "2", "--store", "STORE"], "--jobs and --store"),
+        ],
+    )
+    def test_headroom_refuses_jobs_and_store(self, tmp_path, flags, named):
+        store = tmp_path / "store"
+        flags = [str(store) if f == "STORE" else f for f in flags]
+        with pytest.raises(SystemExit, match=f"headroom would ignore {named}"):
+            main(["experiment", "headroom", "--instructions", "2000", *flags])
+        assert not store.exists()
+
     def test_experiment_with_csv(self, capsys, tmp_path):
         prefix = tmp_path / "fig12"
         assert main(["experiment", "fig12", "--instructions", "15000",
